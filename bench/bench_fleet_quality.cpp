@@ -1,4 +1,4 @@
-// DESIGN.md §12 — the online prediction-quality scoreboard. Two arms:
+// DESIGN.md §10 — the online prediction-quality scoreboard. Two arms:
 //
 //  1. Scoreboard arm: the leak-heavy SCP fleet with the quality tracker
 //     and the flight recorder armed. Reports the combined lane's live
@@ -135,7 +135,7 @@ QualityRun run_quality_fleet(const TrainedBaselines& preds, bool quality_on) {
 }
 
 void print_quality_scoreboard(const TrainedBaselines& preds) {
-  std::printf("== DESIGN.md §12: online quality scoreboard and Eq. 8 "
+  std::printf("== DESIGN.md §10: online quality scoreboard and Eq. 8 "
               "self-assessment ==\n");
   std::printf("(%zu nodes x %.3f day(s); combined lane, windowed tallies; "
               "model availability from the live clamped quality)\n\n",

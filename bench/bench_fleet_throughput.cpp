@@ -79,13 +79,13 @@ TrainedBaselines train_baselines() {
 runtime::FleetTelemetry run_fleet(
     const TrainedBaselines& preds, std::size_t num_threads,
     double* wall_seconds, obs::Observability* hub = nullptr,
-    runtime::FleetPath path = runtime::FleetPath::kOptimized) {
+    pred::BatchKernel kernel = pred::BatchKernel::kScalar) {
   runtime::FleetConfig cfg;
   cfg.mea.windows = bench::case_study_windows();
   cfg.mea.evaluation_interval = 60.0;
   cfg.mea.warning_threshold = 0.6;
   cfg.num_threads = num_threads;
-  cfg.path = path;
+  cfg.kernel = kernel;
   cfg.obs = hub;
 
   runtime::FleetController fleet(
@@ -269,7 +269,7 @@ void print_shard_scaling(const TrainedBaselines& preds) {
               "shards", "threads", "wall [s]", "speedup", "sim-s/s",
               "scores/s", "node_steps");
 
-  // The 8-thread lockstep baseline the ≥1.5x gate measures against.
+  // The 8-thread lockstep preset the ≥1.5x gate measures against.
   const auto lockstep =
       run_shard_fleet(preds, grid_nodes, 8, 1, false, grid_duration);
   emit_shard_row("lockstep", 1, 8, lockstep, 1.0);
@@ -285,8 +285,9 @@ void print_shard_scaling(const TrainedBaselines& preds) {
                    r.wall > 0.0 ? lockstep.wall / r.wall : 0.0);
   }
 
-  // Thread sweep at 8 shards: how the event-driven path scales with the
-  // pool (each shard is sequential, shards spread across threads).
+  // Thread sweep at 8 shards: how the sharded engine scales with the
+  // pool (each shard runs its loops inline, shards spread across
+  // threads).
   const std::vector<std::size_t> thread_sweep =
       g_quick ? std::vector<std::size_t>{1u}
               : std::vector<std::size_t>{1u, 2u, 4u};
@@ -364,32 +365,29 @@ void print_obs_overhead(const TrainedBaselines& preds) {
       .emit();
 }
 
-/// Optimized-vs-reference arm: the same seeded fleet through both
-/// FleetPath settings at the widest pool. Emits one JSON row per path
-/// carrying the run fingerprint (rounds/warnings/actions/availability) —
-/// the regression gate in tools/bench_to_json.py checks the wall-time
-/// ratio, and this function itself aborts if the fingerprints diverge
-/// (paths must differ in wall time only).
-void print_path_comparison(const TrainedBaselines& preds) {
-  std::printf("== hot path: optimized vs reference (8 threads) ==\n");
+/// Scalar-vs-SIMD kernel arm: the same seeded fleet through both
+/// BatchKernel settings at the widest pool. Emits one JSON row per kernel
+/// carrying the run fingerprint (rounds/warnings/actions/availability),
+/// and aborts if the fingerprints diverge (kernels must differ in wall
+/// time only).
+void print_kernel_comparison(const TrainedBaselines& preds) {
+  std::printf("== fleet scoring kernel: scalar vs simd (8 threads) ==\n");
   constexpr std::size_t kThreads = 8;
-  // Best-of-N keeps scheduler noise out of the gated ratio; two reps
-  // even in quick mode — this arm feeds a CI regression gate.
+  // Best-of-N keeps scheduler noise out of the reported walls.
   const int reps = g_quick ? 2 : 3;
 
   struct Arm {
-    runtime::FleetPath path;
+    pred::BatchKernel kernel;
     const char* name;
     double wall = 0.0;
     runtime::FleetTelemetry telemetry;
   };
-  Arm arms[] = {{runtime::FleetPath::kReference, "reference", 0.0, {}},
-                {runtime::FleetPath::kOptimized, "optimized", 0.0, {}},
-                {runtime::FleetPath::kSimd, "simd", 0.0, {}}};
+  Arm arms[] = {{pred::BatchKernel::kScalar, "scalar", 0.0, {}},
+                {pred::BatchKernel::kSimd, "simd", 0.0, {}}};
   for (auto& arm : arms) {
     for (int rep = 0; rep < reps; ++rep) {
       double wall = 0.0;
-      arm.telemetry = run_fleet(preds, kThreads, &wall, nullptr, arm.path);
+      arm.telemetry = run_fleet(preds, kThreads, &wall, nullptr, arm.kernel);
       arm.wall = rep == 0 ? wall : std::min(arm.wall, wall);
     }
     const double steps_per_sec =
@@ -403,8 +401,8 @@ void print_path_comparison(const TrainedBaselines& preds) {
                 arm.telemetry.mea.total_actions(),
                 arm.telemetry.system.availability());
     bench::JsonLine()
-        .field("bench", "fleet_path")
-        .field("path", arm.name)
+        .field("bench", "fleet_kernel")
+        .field("kernel", arm.name)
         .field("nodes", kFleetNodes)
         .field("threads", kThreads)
         .field("wall_seconds", arm.wall)
@@ -424,15 +422,13 @@ void print_path_comparison(const TrainedBaselines& preds) {
         ref.telemetry.system.availability() !=
             arm.telemetry.system.availability()) {
       std::fprintf(stderr,
-                   "FATAL: the %s path diverged from the reference path — "
-                   "the paths must differ in wall time only\n",
+                   "FATAL: the %s kernel diverged from the scalar kernel — "
+                   "the kernels must differ in wall time only\n",
                    arm.name);
       std::exit(1);
     }
   }
-  const Arm& opt = arms[1];
-  std::printf("  speedup (reference/optimized): %.2fx\n\n",
-              opt.wall > 0.0 ? ref.wall / opt.wall : 0.0);
+  std::printf("\n");
 }
 
 // --- SIMD kernel-sweep + frozen-serving arms ------------------------------
@@ -644,7 +640,7 @@ int main(int argc, char** argv) {
   print_experiment(preds);
   print_shard_scaling(preds);
   print_obs_overhead(preds);
-  print_path_comparison(preds);
+  print_kernel_comparison(preds);
   print_simd_sweep();
   print_frozen_serving();
   if (!g_quick) {

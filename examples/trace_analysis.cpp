@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
   }
   std::printf("  ...\n");
 
-  // The online quality scoreboard (DESIGN.md §12): the combined lane's
+  // The online quality scoreboard (DESIGN.md §10): the combined lane's
   // live Sect. 3.3 quality and the Eq. 8 self-assessment — what the
   // Fig. 9 model predicts availability should be given the quality the
   // predictor is demonstrating, next to what the fleet measured.

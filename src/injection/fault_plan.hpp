@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -205,6 +206,39 @@ struct InjectionStats {
     predictor_nans += other.predictor_nans;
     action_failures += other.action_failures;
     return *this;
+  }
+};
+
+/// One wrapper's injected-fault tallies. Shared between the wrapper and
+/// the FaultInjector that created it, so the counts outlive the wrapper:
+/// a membership restart destroys an incarnation's node and action
+/// wrappers, and FaultInjector::stats() still sums what they injected.
+/// Relaxed atomics — predictor wrappers are scored from several shard
+/// threads at once; readers snapshot between runs.
+struct InjectionCounters {
+  std::atomic<std::size_t> node_crashes{0};
+  std::atomic<std::size_t> node_hangs{0};
+  std::atomic<std::size_t> samples_dropped{0};
+  std::atomic<std::size_t> samples_corrupted{0};
+  std::atomic<std::size_t> predictor_throws{0};
+  std::atomic<std::size_t> predictor_nans{0};
+  std::atomic<std::size_t> action_failures{0};
+
+  static void bump(std::atomic<std::size_t>& counter) noexcept {
+    counter.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  InjectionStats snapshot() const noexcept {
+    constexpr auto relaxed = std::memory_order_relaxed;
+    InjectionStats out;
+    out.node_crashes = node_crashes.load(relaxed);
+    out.node_hangs = node_hangs.load(relaxed);
+    out.samples_dropped = samples_dropped.load(relaxed);
+    out.samples_corrupted = samples_corrupted.load(relaxed);
+    out.predictor_throws = predictor_throws.load(relaxed);
+    out.predictor_nans = predictor_nans.load(relaxed);
+    out.action_failures = action_failures.load(relaxed);
+    return out;
   }
 };
 

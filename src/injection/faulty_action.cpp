@@ -15,10 +15,13 @@ std::uint64_t action_stream_id(std::size_t action_id,
 
 FaultyAction::FaultyAction(std::unique_ptr<act::Action> inner,
                            std::size_t action_id, std::size_t instance,
-                           const FaultPlan& plan, obs::Observability* hub)
+                           const FaultPlan& plan, obs::Observability* hub,
+                           std::shared_ptr<InjectionCounters> counters)
     : inner_(std::move(inner)),
       spec_(plan.action_spec(action_id)),
-      stream_(plan.seed, kActionStream, action_stream_id(action_id, instance)) {
+      stream_(plan.seed, kActionStream, action_stream_id(action_id, instance)),
+      counters_(counters ? std::move(counters)
+                         : std::make_shared<InjectionCounters>()) {
   if (!inner_) throw std::invalid_argument("FaultyAction: null inner");
   if (hub != nullptr) {
     tracer_ = hub->tracer();
@@ -30,7 +33,7 @@ FaultyAction::FaultyAction(std::unique_ptr<act::Action> inner,
 
 void FaultyAction::execute(core::ManagedSystem& system, double confidence) {
   if (stream_.fire(spec_.fail_p)) {
-    ++stats_.action_failures;
+    InjectionCounters::bump(counters_->action_failures);
     if (failure_counter_ != nullptr) failure_counter_->inc();
     obs::record_instant(tracer_, obs::SpanKind::kInjectedFault, track_,
                         system.now(), 0,
@@ -40,7 +43,7 @@ void FaultyAction::execute(core::ManagedSystem& system, double confidence) {
   const bool partial = stream_.fire(spec_.partial_p);
   inner_->execute(system, confidence);
   if (partial) {
-    ++stats_.action_failures;
+    InjectionCounters::bump(counters_->action_failures);
     if (failure_counter_ != nullptr) failure_counter_->inc();
     obs::record_instant(tracer_, obs::SpanKind::kInjectedFault, track_,
                         system.now(), 0,

@@ -24,10 +24,12 @@ class FaultyAction final : public act::Action {
   /// `hub`, when given, counts injected failures and records
   /// kInjectedFault spans. `instance` doubles as the trace lane: the
   /// fleet controller creates one instance per node in node order, so
-  /// instance i maps to node_track(i).
+  /// instance i maps to node_track(i). `counters` is the block the
+  /// wrapper tallies into (a fresh one when null).
   FaultyAction(std::unique_ptr<act::Action> inner, std::size_t action_id,
                std::size_t instance, const FaultPlan& plan,
-               obs::Observability* hub = nullptr);
+               obs::Observability* hub = nullptr,
+               std::shared_ptr<InjectionCounters> counters = nullptr);
 
   std::string name() const override { return inner_->name() + "+faults"; }
   act::ActionKind kind() const override { return inner_->kind(); }
@@ -39,13 +41,15 @@ class FaultyAction final : public act::Action {
   }
   void execute(core::ManagedSystem& system, double confidence) override;
 
-  const InjectionStats& injection_stats() const noexcept { return stats_; }
+  InjectionStats injection_stats() const noexcept {
+    return counters_->snapshot();
+  }
 
  private:
   std::unique_ptr<act::Action> inner_;
   ActionFaultSpec spec_;
   DecisionStream stream_;
-  InjectionStats stats_;
+  std::shared_ptr<InjectionCounters> counters_;
   obs::TraceRecorder* tracer_ = nullptr;
   std::uint32_t track_ = 0;
   obs::Counter* failure_counter_ = nullptr;

@@ -13,10 +13,14 @@ namespace {
 constexpr std::uint64_t kPredictorStream = 2;
 }  // namespace
 
-PredictorFaultState::PredictorFaultState(const FaultPlan& plan,
-                                         std::size_t id,
-                                         obs::Observability* hub)
-    : spec_(plan.predictor_spec(id)), seed_(plan.seed), id_(id) {
+PredictorFaultState::PredictorFaultState(
+    const FaultPlan& plan, std::size_t id, obs::Observability* hub,
+    std::shared_ptr<InjectionCounters> counters)
+    : spec_(plan.predictor_spec(id)),
+      seed_(plan.seed),
+      id_(id),
+      counters_(counters ? std::move(counters)
+                         : std::make_shared<InjectionCounters>()) {
   if (hub != nullptr) {
     auto& metrics = hub->metrics();
     throw_counter_ = &metrics.counter(
@@ -42,16 +46,16 @@ void PredictorFaultState::corrupt_one(double& value, std::uint64_t origin,
       seed_, kPredictorStream,
       DecisionStream::derive(DecisionStream::derive(id_, origin), ordinal));
   if (stream.fire(spec_.throw_p)) {
-    throws_.fetch_add(1, std::memory_order_relaxed);
+    InjectionCounters::bump(counters_->predictor_throws);
     if (throw_counter_ != nullptr) throw_counter_->inc();
     throw PredictorFaultError("injected predictor fault");
   }
   if (stream.fire(spec_.nan_p)) {
-    nans_.fetch_add(1, std::memory_order_relaxed);
+    InjectionCounters::bump(counters_->predictor_nans);
     if (nan_counter_ != nullptr) nan_counter_->inc();
     value = std::numeric_limits<double>::quiet_NaN();
   } else if (stream.fire(spec_.inf_p)) {
-    nans_.fetch_add(1, std::memory_order_relaxed);
+    InjectionCounters::bump(counters_->predictor_nans);
     if (nan_counter_ != nullptr) nan_counter_->inc();
     value = std::numeric_limits<double>::infinity();
   }
@@ -61,8 +65,9 @@ void PredictorFaultState::corrupt_one(double& value, std::uint64_t origin,
 
 FaultySymptomPredictor::FaultySymptomPredictor(
     std::shared_ptr<const pred::SymptomPredictor> inner, std::size_t id,
-    const FaultPlan& plan, obs::Observability* hub)
-    : inner_(std::move(inner)), state_(plan, id, hub) {
+    const FaultPlan& plan, obs::Observability* hub,
+    std::shared_ptr<InjectionCounters> counters)
+    : inner_(std::move(inner)), state_(plan, id, hub, std::move(counters)) {
   if (!inner_) {
     throw std::invalid_argument("FaultySymptomPredictor: null inner");
   }
@@ -83,16 +88,6 @@ double FaultySymptomPredictor::score(
 }
 
 void FaultySymptomPredictor::score_batch(
-    std::span<const pred::SymptomContext> contexts,
-    std::span<double> out) const {
-  inner_->score_batch(contexts, out);
-  state_.sleep_latency();
-  for (std::size_t i = 0; i < contexts.size(); ++i) {
-    state_.corrupt_one(out[i], contexts[i].origin, contexts[i].ordinal);
-  }
-}
-
-void FaultySymptomPredictor::score_batch(
     std::span<const pred::SymptomContext> contexts, std::span<double> out,
     pred::BatchScratch& scratch) const {
   inner_->score_batch(contexts, out, scratch);
@@ -104,8 +99,9 @@ void FaultySymptomPredictor::score_batch(
 
 FaultyEventPredictor::FaultyEventPredictor(
     std::shared_ptr<const pred::EventPredictor> inner, std::size_t id,
-    const FaultPlan& plan, obs::Observability* hub)
-    : inner_(std::move(inner)), state_(plan, id, hub) {
+    const FaultPlan& plan, obs::Observability* hub,
+    std::shared_ptr<InjectionCounters> counters)
+    : inner_(std::move(inner)), state_(plan, id, hub, std::move(counters)) {
   if (!inner_) {
     throw std::invalid_argument("FaultyEventPredictor: null inner");
   }
@@ -121,16 +117,6 @@ double FaultyEventPredictor::score(const mon::ErrorSequence& sequence) const {
   state_.sleep_latency();
   state_.corrupt_one(value, sequence.origin, sequence.ordinal);
   return value;
-}
-
-void FaultyEventPredictor::score_batch(
-    std::span<const mon::ErrorSequence> sequences,
-    std::span<double> out) const {
-  inner_->score_batch(sequences, out);
-  state_.sleep_latency();
-  for (std::size_t i = 0; i < sequences.size(); ++i) {
-    state_.corrupt_one(out[i], sequences[i].origin, sequences[i].ordinal);
-  }
 }
 
 void FaultyEventPredictor::score_batch(

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <memory>
 
 #include "injection/fault_plan.hpp"
@@ -21,14 +20,16 @@ namespace detail {
 /// the sharded fleet runtime may score the same wrapper concurrently
 /// from many shard controllers, re-batch items arbitrarily, or reshard
 /// the fleet, and every item still draws the same faults. The only
-/// mutable state left is the atomic fault counters.
+/// mutable state left is the atomic fault counter block.
 class PredictorFaultState {
  public:
   /// `hub`, when given, counts injected predictor faults (throws, NaN
   /// and inf scores) into the registry. Predictor faults carry no sim
-  /// timestamp, so they are counter-only — no spans.
+  /// timestamp, so they are counter-only — no spans. `counters` is the
+  /// block the faults are tallied into (a fresh one when null).
   PredictorFaultState(const FaultPlan& plan, std::size_t id,
-                      obs::Observability* hub = nullptr);
+                      obs::Observability* hub,
+                      std::shared_ptr<InjectionCounters> counters);
 
   /// Applies the (throw, NaN, inf) rolls of item (origin, ordinal) to
   /// `value` (already scored by the inner predictor). Throws
@@ -39,20 +40,14 @@ class PredictorFaultState {
   /// Sleeps the injected per-call latency (wall time only; no results).
   void sleep_latency() const;
 
-  /// Snapshot of the injected-fault counters (atomics materialized).
-  InjectionStats stats() const noexcept {
-    InjectionStats out;
-    out.predictor_throws = throws_.load(std::memory_order_relaxed);
-    out.predictor_nans = nans_.load(std::memory_order_relaxed);
-    return out;
-  }
+  /// Snapshot of the injected-fault counters.
+  InjectionStats stats() const noexcept { return counters_->snapshot(); }
 
  private:
   PredictorFaultSpec spec_;
   std::uint64_t seed_ = 0;
   std::uint64_t id_ = 0;
-  mutable std::atomic<std::size_t> throws_{0};
-  mutable std::atomic<std::size_t> nans_{0};
+  std::shared_ptr<InjectionCounters> counters_;
   obs::Counter* throw_counter_ = nullptr;  // sharded: safe from workers
   obs::Counter* nan_counter_ = nullptr;
 };
@@ -65,13 +60,13 @@ class FaultySymptomPredictor final : public pred::SymptomPredictor {
  public:
   FaultySymptomPredictor(std::shared_ptr<const pred::SymptomPredictor> inner,
                          std::size_t id, const FaultPlan& plan,
-                         obs::Observability* hub = nullptr);
+                         obs::Observability* hub = nullptr,
+                         std::shared_ptr<InjectionCounters> counters = nullptr);
 
   std::string name() const override { return inner_->name() + "+faults"; }
   void train(const mon::MonitoringDataset& data) override;
   double score(const pred::SymptomContext& context) const override;
-  void score_batch(std::span<const pred::SymptomContext> contexts,
-                   std::span<double> out) const override;
+  using pred::SymptomPredictor::score_batch;
   void score_batch(std::span<const pred::SymptomContext> contexts,
                    std::span<double> out,
                    pred::BatchScratch& scratch) const override;
@@ -88,15 +83,15 @@ class FaultyEventPredictor final : public pred::EventPredictor {
  public:
   FaultyEventPredictor(std::shared_ptr<const pred::EventPredictor> inner,
                        std::size_t id, const FaultPlan& plan,
-                       obs::Observability* hub = nullptr);
+                       obs::Observability* hub = nullptr,
+                       std::shared_ptr<InjectionCounters> counters = nullptr);
 
   std::string name() const override { return inner_->name() + "+faults"; }
   void train(
       std::span<const mon::ErrorSequence> failure_sequences,
       std::span<const mon::ErrorSequence> nonfailure_sequences) override;
   double score(const mon::ErrorSequence& sequence) const override;
-  void score_batch(std::span<const mon::ErrorSequence> sequences,
-                   std::span<double> out) const override;
+  using pred::EventPredictor::score_batch;
   void score_batch(std::span<const mon::ErrorSequence> sequences,
                    std::span<double> out,
                    pred::BatchScratch& scratch) const override;

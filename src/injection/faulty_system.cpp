@@ -12,10 +12,13 @@ constexpr std::uint64_t kNodeStream = 1;
 
 FaultyManagedSystem::FaultyManagedSystem(
     std::unique_ptr<core::ManagedSystem> inner, std::size_t node_index,
-    const FaultPlan& plan, obs::Observability* hub)
+    const FaultPlan& plan, obs::Observability* hub,
+    std::shared_ptr<InjectionCounters> counters)
     : inner_(std::move(inner)),
       spec_(plan.node_spec(node_index)),
-      stream_(plan.seed, kNodeStream, node_index) {
+      stream_(plan.seed, kNodeStream, node_index),
+      counters_(counters ? std::move(counters)
+                         : std::make_shared<InjectionCounters>()) {
   if (!inner_) {
     throw std::invalid_argument("FaultyManagedSystem: null inner system");
   }
@@ -52,7 +55,7 @@ void FaultyManagedSystem::step_to(double t) {
   throw_if_crashed();
   if (spec_.crash_at >= 0.0 && inner_->now() >= spec_.crash_at) {
     crashed_ = true;
-    ++stats_.node_crashes;
+    InjectionCounters::bump(counters_->node_crashes);
     if (crash_counter_ != nullptr) crash_counter_->inc();
     obs::record_instant(tracer_, obs::SpanKind::kInjectedFault, track_,
                         inner_->now(), 0,
@@ -69,7 +72,7 @@ void FaultyManagedSystem::step_to(double t) {
   if (spec_.hang_at >= 0.0 && inner_->now() >= spec_.hang_at &&
       hang_steps_served_ < spec_.hang_steps) {
     ++hang_steps_served_;
-    ++stats_.node_hangs;
+    InjectionCounters::bump(counters_->node_hangs);
     if (hang_counter_ != nullptr) hang_counter_->inc();
     obs::record_instant(tracer_, obs::SpanKind::kInjectedFault, track_,
                         inner_->now(), 0,
@@ -92,7 +95,7 @@ void FaultyManagedSystem::sync_shadow() {
   const auto samples = t.samples();
   for (; samples_seen_ < samples.size(); ++samples_seen_) {
     if (stream_.fire(spec_.drop_sample_p)) {
-      ++stats_.samples_dropped;
+      InjectionCounters::bump(counters_->samples_dropped);
       // High-frequency sample faults stay counter-only — a lossy sensor
       // would flood the span rings.
       if (drop_counter_ != nullptr) drop_counter_->inc();
@@ -100,7 +103,7 @@ void FaultyManagedSystem::sync_shadow() {
     }
     mon::SymptomSample s = samples[samples_seen_];
     if (stream_.fire(spec_.corrupt_sample_p)) {
-      ++stats_.samples_corrupted;
+      InjectionCounters::bump(counters_->samples_corrupted);
       if (corrupt_counter_ != nullptr) corrupt_counter_->inc();
       for (auto& v : s.values) {
         v = std::numeric_limits<double>::quiet_NaN();

@@ -30,10 +30,12 @@ class FaultyManagedSystem final : public core::ManagedSystem {
  public:
   /// `hub`, when given, receives cause-side fault counters and — for the
   /// sim-timed crash/hang faults — kInjectedFault spans on the node's
-  /// trace lane.
+  /// trace lane. `counters` is the block the wrapper tallies into (a
+  /// fresh one when null).
   FaultyManagedSystem(std::unique_ptr<core::ManagedSystem> inner,
                       std::size_t node_index, const FaultPlan& plan,
-                      obs::Observability* hub = nullptr);
+                      obs::Observability* hub = nullptr,
+                      std::shared_ptr<InjectionCounters> counters = nullptr);
 
   std::string name() const override { return inner_->name(); }
 
@@ -69,7 +71,9 @@ class FaultyManagedSystem final : public core::ManagedSystem {
   }
 
   bool crashed() const noexcept { return crashed_; }
-  const InjectionStats& injection_stats() const noexcept { return stats_; }
+  InjectionStats injection_stats() const noexcept {
+    return counters_->snapshot();
+  }
 
  private:
   void throw_if_crashed() const;
@@ -78,7 +82,7 @@ class FaultyManagedSystem final : public core::ManagedSystem {
   std::unique_ptr<core::ManagedSystem> inner_;
   NodeFaultSpec spec_;
   DecisionStream stream_;
-  InjectionStats stats_;
+  std::shared_ptr<InjectionCounters> counters_;
 
   obs::TraceRecorder* tracer_ = nullptr;
   std::uint32_t track_ = 0;

@@ -5,12 +5,16 @@
 
 namespace pfm::inj {
 
+std::shared_ptr<InjectionCounters> FaultInjector::new_counters() {
+  auto counters = std::make_shared<InjectionCounters>();
+  counters_.push_back(counters);
+  return counters;
+}
+
 std::unique_ptr<core::ManagedSystem> FaultInjector::wrap_node(
     std::size_t index, std::unique_ptr<core::ManagedSystem> inner) {
-  auto wrapped = std::make_unique<FaultyManagedSystem>(std::move(inner),
-                                                       index, plan_, obs_);
-  systems_.push_back(wrapped.get());
-  return wrapped;
+  return std::make_unique<FaultyManagedSystem>(std::move(inner), index, plan_,
+                                               obs_, new_counters());
 }
 
 std::vector<std::unique_ptr<core::ManagedSystem>> FaultInjector::wrap_fleet(
@@ -24,19 +28,15 @@ std::vector<std::unique_ptr<core::ManagedSystem>> FaultInjector::wrap_fleet(
 std::shared_ptr<const pred::SymptomPredictor>
 FaultInjector::wrap_symptom_predictor(
     std::size_t id, std::shared_ptr<const pred::SymptomPredictor> inner) {
-  auto wrapped = std::make_shared<FaultySymptomPredictor>(std::move(inner),
-                                                          id, plan_, obs_);
-  symptom_.push_back(wrapped.get());
-  return wrapped;
+  return std::make_shared<FaultySymptomPredictor>(std::move(inner), id, plan_,
+                                                  obs_, new_counters());
 }
 
 std::shared_ptr<const pred::EventPredictor>
 FaultInjector::wrap_event_predictor(
     std::size_t id, std::shared_ptr<const pred::EventPredictor> inner) {
-  auto wrapped = std::make_shared<FaultyEventPredictor>(std::move(inner), id,
-                                                        plan_, obs_);
-  event_.push_back(wrapped.get());
-  return wrapped;
+  return std::make_shared<FaultyEventPredictor>(std::move(inner), id, plan_,
+                                                obs_, new_counters());
 }
 
 std::function<std::unique_ptr<act::Action>()>
@@ -48,19 +48,14 @@ FaultInjector::wrap_action_factory(
   // Instances are numbered in creation order — FleetController invokes
   // the factory once per node, in node order, on the caller thread.
   return [this, id, factory = std::move(factory)]() {
-    auto wrapped = std::make_unique<FaultyAction>(
-        factory(), id, action_instances_++, plan_, obs_);
-    actions_.push_back(wrapped.get());
-    return std::unique_ptr<act::Action>(std::move(wrapped));
+    return std::unique_ptr<act::Action>(std::make_unique<FaultyAction>(
+        factory(), id, action_instances_++, plan_, obs_, new_counters()));
   };
 }
 
 InjectionStats FaultInjector::stats() const {
   InjectionStats out;
-  for (const auto* s : systems_) out += s->injection_stats();
-  for (const auto* p : symptom_) out += p->injection_stats();
-  for (const auto* p : event_) out += p->injection_stats();
-  for (const auto* a : actions_) out += a->injection_stats();
+  for (const auto& counters : counters_) out += counters->snapshot();
   return out;
 }
 

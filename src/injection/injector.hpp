@@ -13,11 +13,12 @@
 namespace pfm::inj {
 
 /// Applies one FaultPlan to the components of a fleet by wrapping them in
-/// the decorator types of this subsystem. The injector owns nothing: it
-/// hands the wrappers to the caller (typically a runtime::FleetController)
-/// and keeps non-owning pointers so stats() can aggregate what was
-/// actually injected. Call stats() only while the wrapped components are
-/// alive and no run is in flight.
+/// the decorator types of this subsystem. The injector hands the wrappers
+/// to the caller (typically a runtime::FleetController) and shares each
+/// wrapper's counter block, so stats() aggregates what was actually
+/// injected — including by wrappers that are gone, such as the node and
+/// action wrappers of an incarnation a membership restart replaced. Call
+/// stats() only while no run is in flight.
 ///
 /// Everything is deterministic: wrapper decision streams are pure
 /// functions of (plan seed, component identity), and components consult
@@ -65,19 +66,18 @@ class FaultInjector {
       std::size_t id, std::function<std::unique_ptr<act::Action>()> factory);
 
   /// Sum of the injected-fault counters over every wrapper created so
-  /// far.
+  /// far, destroyed ones included.
   InjectionStats stats() const;
 
  private:
+  /// A fresh counter block, registered for stats().
+  std::shared_ptr<InjectionCounters> new_counters();
+
   FaultPlan plan_;
   obs::Observability* obs_ = nullptr;
-  // Non-owning observation points for stats(); the wrapped components
-  // (and, for factories, the injector itself) must stay alive while the
-  // returned wrappers are in use.
-  std::vector<const FaultyManagedSystem*> systems_;
-  std::vector<const FaultySymptomPredictor*> symptom_;
-  std::vector<const FaultyEventPredictor*> event_;
-  std::vector<const FaultyAction*> actions_;
+  // One block per wrapper, shared with it. Wrapped action factories call
+  // back into the injector, so it must outlive the factories it made.
+  std::vector<std::shared_ptr<const InjectionCounters>> counters_;
   std::size_t action_instances_ = 0;
 };
 

@@ -1,6 +1,6 @@
 #pragma once
 
-// Per-node flight recorder (DESIGN.md §12). A bounded ring of the most
+// Per-node flight recorder (DESIGN.md §10). A bounded ring of the most
 // recent MEA events per deterministic scope — one ring per node (scores,
 // warnings, countermeasure attempts, injected faults, membership
 // transitions) and one per predictor lane (circuit-breaker activity).
@@ -9,14 +9,13 @@
 // the last N events that led up to it, like an aircraft flight recorder.
 //
 // Ownership mirrors the rest of the obs layer: a scope's ring is written
-// only by the thread currently stepping that node/shard (controller
-// under lockstep, shard thread under the event-driven scheduler), dumps
-// are rendered by the same owning thread and stored on the scope, and
-// post_mortems_text() concatenates them on the controller between
-// parallel sections, ordered by the deterministic (time, scope, seq)
-// key. Everything recorded is sim-time content — a pure function of
-// (seed, fault plan, membership plan) — so dumps are byte-identical
-// across thread counts.
+// only by the thread currently running that node's stage or the lane's
+// shard round, dumps are rendered by the same owning thread and stored
+// on the scope, and post_mortems_text() concatenates them on the
+// controller between parallel sections, ordered by the deterministic
+// (time, scope, seq) key. Everything recorded is sim-time content — a
+// pure function of (seed, fault plan, membership plan) — so dumps are
+// byte-identical across thread counts.
 //
 // capacity 0 disables the recorder; every record_* degrades to a branch
 // through the same pointer-or-null idiom the tracer uses.

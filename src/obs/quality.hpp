@@ -1,6 +1,6 @@
 #pragma once
 
-// Online prediction-quality tracking (DESIGN.md §12).
+// Online prediction-quality tracking (DESIGN.md §10).
 //
 // The offline evaluation path (`prediction/evaluate`, `eval/metrics`)
 // scores a finished run; this tracker computes the same Sect. 3.3
@@ -24,9 +24,8 @@
 // the instants score_on_grid excludes from the offline grid.
 //
 // Concurrency / determinism: per-(node, lane) tallies and the per-node
-// pending ring are owned by whichever thread is stepping the node (the
-// controller under the lockstep scheduler, the shard thread under the
-// event-driven one) — the same ownership discipline as SystemStats.
+// pending ring are owned by whichever thread drives the node's shard —
+// the same ownership discipline as SystemStats.
 // Shared per-lane totals (outcome counters, score-distribution bins) go
 // through the per-thread-sharded Counter, whose integer merge is exact,
 // so every exported value is a pure function of (seed, fault plan,

@@ -66,9 +66,9 @@ inline constexpr std::uint32_t node_track(std::size_t node) noexcept {
 inline constexpr std::uint32_t predictor_track(std::size_t p) noexcept {
   return static_cast<std::uint32_t>(1000000 + p);
 }
-/// Stage-span lane of shard `s` of the event-driven fleet runtime. A
-/// single-shard fleet records its stage spans on kFleetTrack instead, so
-/// its traces stay byte-identical to the lockstep loop's.
+/// Stage-span lane of shard `s` of a multi-shard fleet. A single-shard
+/// fleet (the lockstep preset included) records its stage spans on
+/// kFleetTrack instead.
 inline constexpr std::uint32_t shard_track(std::size_t s) noexcept {
   return static_cast<std::uint32_t>(2000000 + s);
 }

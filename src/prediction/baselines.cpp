@@ -63,8 +63,7 @@ std::vector<mon::LabeledWindow> require_windows(
 }
 
 // Out-of-line slow paths keep the batched scorers' bodies free of throw
-// statements (pfm-analyze hotpath); messages match the reference 2-arg
-// paths exactly so conformance errors stay byte-identical.
+// statements (pfm-analyze hotpath); messages match score()'s.
 // pfm-cold
 [[noreturn]] void throw_contexts_size_mismatch() {
   throw std::invalid_argument("score_batch: contexts/out size mismatch");
@@ -115,10 +114,9 @@ double ThresholdPredictor::score(const SymptomContext& context) const {
 }
 
 void ThresholdPredictor::score_batch(std::span<const SymptomContext> contexts,
-                                     std::span<double> out) const {
-  if (contexts.size() != out.size()) {
-    throw std::invalid_argument("score_batch: contexts/out size mismatch");
-  }
+                                     std::span<double> out,
+                                     BatchScratch& /*scratch*/) const {
+  if (contexts.size() != out.size()) throw_contexts_size_mismatch();
   if (!trained_) throw std::logic_error("ThresholdPredictor: not trained");
   for (std::size_t i = 0; i < contexts.size(); ++i) {
     if (contexts[i].history.empty()) {
@@ -170,35 +168,6 @@ double TrendPredictor::score(const SymptomContext& context) const {
   // Level tells where we are, the slope where we are heading (projected
   // resource exhaustion); both oriented so positive means failure-prone.
   return num::sigmoid(0.7 * z_level + 1.1 * z_slope);
-}
-
-void TrendPredictor::score_batch(std::span<const SymptomContext> contexts,
-                                 std::span<double> out) const {
-  if (contexts.size() != out.size()) {
-    throw std::invalid_argument("score_batch: contexts/out size mismatch");
-  }
-  if (!trained_) throw std::logic_error("TrendPredictor: not trained");
-  std::vector<double> t, v;
-  for (std::size_t i = 0; i < contexts.size(); ++i) {
-    const auto& ctx = contexts[i];
-    if (ctx.history.empty()) {
-      throw std::invalid_argument("TrendPredictor: empty context");
-    }
-    const double level = ctx.history.back().values.at(variable_);
-    const double z_level = direction_ * (level - mean_) / stddev_;
-    double z_slope = 0.0;
-    if (ctx.history.size() >= 2) {
-      t.clear();
-      v.clear();
-      for (const auto& s : ctx.history) {
-        t.push_back(s.time);
-        v.push_back(s.values.at(variable_));
-      }
-      const auto fit = num::fit_line(t, v);
-      z_slope = direction_ * fit.slope * slope_scale_;
-    }
-    out[i] = num::sigmoid(0.7 * z_level + 1.1 * z_slope);
-  }
 }
 
 // pfm-hot
@@ -309,10 +278,9 @@ double FailureTrackingPredictor::score(const SymptomContext& context) const {
 }
 
 void FailureTrackingPredictor::score_batch(
-    std::span<const SymptomContext> contexts, std::span<double> out) const {
-  if (contexts.size() != out.size()) {
-    throw std::invalid_argument("score_batch: contexts/out size mismatch");
-  }
+    std::span<const SymptomContext> contexts, std::span<double> out,
+    BatchScratch& /*scratch*/) const {
+  if (contexts.size() != out.size()) throw_contexts_size_mismatch();
   if (!trained_) {
     throw std::logic_error("FailureTrackingPredictor: not trained");
   }
@@ -395,10 +363,9 @@ double DftPredictor::score(const mon::ErrorSequence& seq) const {
 }
 
 void DftPredictor::score_batch(std::span<const mon::ErrorSequence> sequences,
-                               std::span<double> out) const {
-  if (sequences.size() != out.size()) {
-    throw std::invalid_argument("score_batch: sequences/out size mismatch");
-  }
+                               std::span<double> out,
+                               BatchScratch& /*scratch*/) const {
+  if (sequences.size() != out.size()) throw_sequences_size_mismatch();
   if (!trained_) throw std::logic_error("DftPredictor: not trained");
   // score() is allocation-free; the batch path only saves the per-item
   // virtual dispatch (DftPredictor is final, so these calls are direct).
@@ -507,31 +474,6 @@ double EventsetPredictor::score(const mon::ErrorSequence& sequence) const {
     if (all) best = std::max(best, ms.confidence);
   }
   return best;
-}
-
-void EventsetPredictor::score_batch(
-    std::span<const mon::ErrorSequence> sequences, std::span<double> out) const {
-  if (sequences.size() != out.size()) {
-    throw std::invalid_argument("score_batch: sequences/out size mismatch");
-  }
-  if (!trained_) throw std::logic_error("EventsetPredictor: not trained");
-  std::set<std::int32_t> have;  // one scratch set for the whole batch
-  for (std::size_t i = 0; i < sequences.size(); ++i) {
-    have.clear();
-    for (const auto& e : sequences[i].events) have.insert(e.event_id);
-    double best = base_rate_ * 0.5;
-    for (const auto& ms : sets_) {
-      bool all = true;
-      for (auto id : ms.ids) {
-        if (!have.contains(id)) {
-          all = false;
-          break;
-        }
-      }
-      if (all) best = std::max(best, ms.confidence);
-    }
-    out[i] = best;
-  }
 }
 
 // pfm-hot

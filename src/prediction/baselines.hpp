@@ -20,8 +20,10 @@ class ThresholdPredictor final : public SymptomPredictor {
   std::string name() const override { return "Threshold"; }
   void train(const mon::MonitoringDataset& data) override;
   double score(const SymptomContext& context) const override;
+  using SymptomPredictor::score_batch;
   void score_batch(std::span<const SymptomContext> contexts,
-                   std::span<double> out) const override;
+                   std::span<double> out,
+                   BatchScratch& scratch) const override;
 
   /// Index of the chosen variable (valid after training).
   std::size_t variable() const noexcept { return variable_; }
@@ -47,11 +49,9 @@ class TrendPredictor final : public SymptomPredictor {
   std::string name() const override { return "Trend"; }
   void train(const mon::MonitoringDataset& data) override;
   double score(const SymptomContext& context) const override;
-  /// Vectorized: reuses the regression buffers across the batch.
-  void score_batch(std::span<const SymptomContext> contexts,
-                   std::span<double> out) const override;
-  /// Arena-backed: same results, regression buffers live in the caller's
-  /// scratch so repeated rounds allocate nothing.
+  using SymptomPredictor::score_batch;
+  /// Regression buffers live in the caller's scratch so repeated rounds
+  /// allocate nothing; kSimd squashes the z columns in num::simd lanes.
   void score_batch(std::span<const SymptomContext> contexts,
                    std::span<double> out,
                    BatchScratch& scratch) const override;
@@ -82,8 +82,10 @@ class FailureTrackingPredictor final : public SymptomPredictor {
   std::string name() const override { return "FailureTracking"; }
   void train(const mon::MonitoringDataset& data) override;
   double score(const SymptomContext& context) const override;
+  using SymptomPredictor::score_batch;
   void score_batch(std::span<const SymptomContext> contexts,
-                   std::span<double> out) const override;
+                   std::span<double> out,
+                   BatchScratch& scratch) const override;
 
   bool uses_weibull() const noexcept { return use_weibull_; }
 
@@ -108,8 +110,10 @@ class DftPredictor final : public EventPredictor {
   void train(std::span<const mon::ErrorSequence> failure_sequences,
              std::span<const mon::ErrorSequence> nonfailure_sequences) override;
   double score(const mon::ErrorSequence& sequence) const override;
+  using EventPredictor::score_batch;
   void score_batch(std::span<const mon::ErrorSequence> sequences,
-                   std::span<double> out) const override;
+                   std::span<double> out,
+                   BatchScratch& scratch) const override;
 
  private:
   double rate_threshold_ = 1.0;  // events per window, 95th pct of non-failure
@@ -134,13 +138,10 @@ class EventsetPredictor final : public EventPredictor {
   void train(std::span<const mon::ErrorSequence> failure_sequences,
              std::span<const mon::ErrorSequence> nonfailure_sequences) override;
   double score(const mon::ErrorSequence& sequence) const override;
-  /// Vectorized: reuses one event-id set across the batch instead of
-  /// building a fresh std::set per sequence.
-  void score_batch(std::span<const mon::ErrorSequence> sequences,
-                   std::span<double> out) const override;
-  /// Arena-backed: the event-id membership structure becomes a sorted
-  /// vector in the caller's scratch (node-free, reused across rounds);
-  /// set-containment answers — and therefore scores — are identical.
+  using EventPredictor::score_batch;
+  /// The event-id membership structure becomes a sorted vector in the
+  /// caller's scratch (node-free, reused across rounds); set-containment
+  /// answers — and therefore scores — are identical to score()'s.
   void score_batch(std::span<const mon::ErrorSequence> sequences,
                    std::span<double> out,
                    BatchScratch& scratch) const override;

@@ -34,6 +34,15 @@ class CalibratedSymptomPredictor final : public SymptomPredictor {
   double score(const SymptomContext& ctx) const override {
     return calibrate_score(inner_->score(ctx), threshold_);
   }
+  using SymptomPredictor::score_batch;
+  /// Scores the batch through the wrapped predictor's arena path, then
+  /// calibrates each score (kScalar: bit-identical to score()).
+  void score_batch(std::span<const SymptomContext> contexts,
+                   std::span<double> out,
+                   BatchScratch& scratch) const override {
+    inner_->score_batch(contexts, out, scratch);
+    for (double& s : out) s = calibrate_score(s, threshold_);
+  }
 
  private:
   std::shared_ptr<const SymptomPredictor> inner_;
@@ -52,6 +61,13 @@ class CalibratedEventPredictor final : public EventPredictor {
              std::span<const mon::ErrorSequence>) override {}
   double score(const mon::ErrorSequence& seq) const override {
     return calibrate_score(inner_->score(seq), threshold_);
+  }
+  using EventPredictor::score_batch;
+  void score_batch(std::span<const mon::ErrorSequence> sequences,
+                   std::span<double> out,
+                   BatchScratch& scratch) const override {
+    inner_->score_batch(sequences, out, scratch);
+    for (double& s : out) s = calibrate_score(s, threshold_);
   }
 
  private:

@@ -286,13 +286,6 @@ namespace {
 
 }  // namespace
 
-void FrozenPredictor::score_batch(std::span<const SymptomContext> contexts,
-                                  std::span<double> out) const {
-  if (contexts.size() != out.size()) throw_frozen_batch_size_mismatch();
-  BatchScratch scratch;
-  score_batch_soa(view_, contexts, out, scratch);
-}
-
 // pfm-hot
 void FrozenPredictor::score_batch(std::span<const SymptomContext> contexts,
                                   std::span<double> out,

@@ -28,7 +28,7 @@ const char* to_string(FrozenError e) noexcept;
 
 /// On-disk header of a frozen predictor (version 1). Fixed 104-byte
 /// little-endian layout, followed immediately by `payload_bytes` of
-/// packed f64/u64 arrays (see DESIGN.md §13 for the field table):
+/// packed f64/u64 arrays (see DESIGN.md §11 for the field table):
 ///   selected[dim] (u64), lo[dim], range[dim], centers[num_kernels*dim],
 ///   w[k], two_w_sq[k], step_scale[k], mixture[k], weights[k+1].
 struct FrozenHeader {
@@ -82,8 +82,7 @@ class FrozenPredictor final : public SymptomPredictor {
   void train(const mon::MonitoringDataset& data) override;
 
   double score(const SymptomContext& context) const override;
-  void score_batch(std::span<const SymptomContext> contexts,
-                   std::span<double> out) const override;
+  using SymptomPredictor::score_batch;
   void score_batch(std::span<const SymptomContext> contexts,
                    std::span<double> out,
                    BatchScratch& scratch) const override;

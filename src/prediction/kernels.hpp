@@ -70,7 +70,7 @@ void gather_features(const MixtureModelView& m,
 
 /// Reference kernel sweep over gathered columns: libm exp, bias-first
 /// kernels-in-order accumulation — bit-identical to UbfPredictor::score()
-/// and the 2-argument overload (the PR-5 conformance contract).
+/// (the conformance contract).
 void sweep_scalar(const MixtureModelView& m, std::size_t batch,
                   BatchScratch& scratch, std::span<double> out) noexcept;
 

@@ -5,7 +5,8 @@
 namespace pfm::pred {
 
 void SymptomPredictor::score_batch(std::span<const SymptomContext> contexts,
-                                   std::span<double> out) const {
+                                   std::span<double> out,
+                                   BatchScratch& /*scratch*/) const {
   if (contexts.size() != out.size()) {
     throw std::invalid_argument("score_batch: contexts/out size mismatch");
   }
@@ -15,14 +16,14 @@ void SymptomPredictor::score_batch(std::span<const SymptomContext> contexts,
 }
 
 void SymptomPredictor::score_batch(std::span<const SymptomContext> contexts,
-                                   std::span<double> out,
-                                   BatchScratch& scratch) const {
-  (void)scratch;  // predictors with no per-call buffers need no arena
-  score_batch(contexts, out);
+                                   std::span<double> out) const {
+  BatchScratch scratch;
+  score_batch(contexts, out, scratch);
 }
 
 void EventPredictor::score_batch(std::span<const mon::ErrorSequence> sequences,
-                                 std::span<double> out) const {
+                                 std::span<double> out,
+                                 BatchScratch& /*scratch*/) const {
   if (sequences.size() != out.size()) {
     throw std::invalid_argument("score_batch: sequences/out size mismatch");
   }
@@ -32,10 +33,9 @@ void EventPredictor::score_batch(std::span<const mon::ErrorSequence> sequences,
 }
 
 void EventPredictor::score_batch(std::span<const mon::ErrorSequence> sequences,
-                                 std::span<double> out,
-                                 BatchScratch& scratch) const {
-  (void)scratch;
-  score_batch(sequences, out);
+                                 std::span<double> out) const {
+  BatchScratch scratch;
+  score_batch(sequences, out, scratch);
 }
 
 void WindowGeometry::validate() const {

@@ -33,11 +33,11 @@ struct SymptomContext {
 };
 
 /// Compute kernel the arena-backed score_batch overloads sweep with.
-/// kScalar is the libm reference sweep (bit-identical to the 2-argument
-/// overloads); kSimd routes the arithmetic through num::simd over the
-/// same SoA columns — scores agree within the documented ULP bound (see
-/// DESIGN.md §13), threshold decisions are pinned identical on the
-/// conformance corpus. The fleet runtime sets this from FleetPath.
+/// kScalar is the libm reference sweep (bit-identical to score()); kSimd
+/// routes the arithmetic through num::simd over the same SoA columns —
+/// scores agree within the documented ULP bound (see DESIGN.md §11),
+/// threshold decisions are pinned identical on the conformance corpus.
+/// The fleet runtime sets this from FleetConfig::kernel.
 enum class BatchKernel : std::uint8_t {
   kScalar = 0,
   kSimd = 1,
@@ -106,25 +106,25 @@ class SymptomPredictor {
   virtual void train(const mon::MonitoringDataset& data) = 0;
 
   /// Failure-proneness of the current state; higher = more failure-prone.
-  /// Throws std::logic_error when called before train().
+  /// Throws std::logic_error when called before train(). The oracle of
+  /// the batch contract below.
   virtual double score(const SymptomContext& context) const = 0;
 
   /// Scores many contexts in one call — the fleet runtime's hot path
   /// (one virtual call per predictor instead of one per node×layer).
-  /// `out[i]` receives score(contexts[i]); the default loops, overrides
-  /// vectorize by hoisting per-call setup and reusing scratch buffers.
-  /// Must be safe to call concurrently on disjoint spans.
-  /// Throws std::invalid_argument when the span sizes differ.
-  virtual void score_batch(std::span<const SymptomContext> contexts,
-                           std::span<double> out) const;
-
-  /// Arena-backed batched scoring: identical results to the two-argument
-  /// overload (the conformance suite pins both to the same bits), but all
-  /// per-call buffers live in `scratch` and are reused across rounds. The
-  /// default discards the arena and forwards; SoA-aware predictors
-  /// override. Concurrent calls must use disjoint arenas.
+  /// `out[i]` receives score(contexts[i]) — bit for bit on the kScalar
+  /// kernel — and every per-call buffer lives in `scratch`, reused
+  /// across rounds. The default loops score(); predictors with a faster
+  /// batch body override this overload. Concurrent calls must use
+  /// disjoint arenas. Throws std::invalid_argument when the span sizes
+  /// differ.
   virtual void score_batch(std::span<const SymptomContext> contexts,
                            std::span<double> out, BatchScratch& scratch) const;
+
+  /// Convenience form: forwards to the arena overload with a call-local
+  /// scalar arena.
+  virtual void score_batch(std::span<const SymptomContext> contexts,
+                           std::span<double> out) const;
 };
 
 /// Online failure predictor over detected-error event sequences (the
@@ -144,16 +144,15 @@ class EventPredictor {
   /// window; higher = more failure-prone.
   virtual double score(const mon::ErrorSequence& sequence) const = 0;
 
-  /// Batched counterpart of score(); same contract as
-  /// SymptomPredictor::score_batch.
-  virtual void score_batch(std::span<const mon::ErrorSequence> sequences,
-                           std::span<double> out) const;
-
-  /// Arena-backed batched scoring; same contract as the SymptomPredictor
-  /// overload (bit-identical to the two-argument path, disjoint arenas
-  /// for concurrent calls). The default forwards.
+  /// Arena-backed batched counterpart of score(); same contract as the
+  /// SymptomPredictor overload. The default loops score().
   virtual void score_batch(std::span<const mon::ErrorSequence> sequences,
                            std::span<double> out, BatchScratch& scratch) const;
+
+  /// Convenience form: forwards to the arena overload with a call-local
+  /// scalar arena.
+  virtual void score_batch(std::span<const mon::ErrorSequence> sequences,
+                           std::span<double> out) const;
 };
 
 /// Shared window geometry (Fig. 6): data window Delta t_d, lead time

@@ -629,53 +629,10 @@ double UbfPredictor::score(const SymptomContext& context) const {
   return num::sigmoid(4.0 * (raw_score(x) - 0.5));
 }
 
-void UbfPredictor::score_batch(std::span<const SymptomContext> contexts,
-                               std::span<double> out) const {
-  if (contexts.size() != out.size()) {
-    throw std::invalid_argument("score_batch: contexts/out size mismatch");
-  }
-  if (!trained_) throw std::logic_error("UbfPredictor: not trained");
-  // One scratch set for the whole batch; score() allocates the full
-  // augmented vector (and regresses every variable's slope) per call,
-  // the batch path only materializes the selected features.
-  std::vector<double> x(selected_.size());
-  std::vector<double> t_buf, v_buf;
-  for (std::size_t c = 0; c < contexts.size(); ++c) {
-    const auto& ctx = contexts[c];
-    if (ctx.history.empty()) {
-      throw std::invalid_argument("UbfPredictor: empty context");
-    }
-    const auto& current = ctx.history.back();
-    const double t0 = current.time - config_.windows.data_window;
-    for (std::size_t i = 0; i < selected_.size(); ++i) {
-      const std::size_t idx = selected_[i];
-      double v;
-      if (idx < num_raw_vars_) {
-        v = current.values[idx];
-      } else {
-        const std::size_t j = idx - num_raw_vars_;
-        t_buf.clear();
-        v_buf.clear();
-        for (const auto& s : ctx.history) {
-          if (s.time <= t0) continue;
-          t_buf.push_back(s.time);
-          v_buf.push_back(s.values[j]);
-        }
-        v = t_buf.size() >= 2 ? num::fit_line(t_buf, v_buf).slope : 0.0;
-      }
-      const double range = feature_hi_[i] - feature_lo_[i];
-      const double scaled = range > 0.0 ? (v - feature_lo_[i]) / range : 0.5;
-      x[i] = std::clamp(scaled, -0.5, 1.5);
-    }
-    out[c] = num::sigmoid(4.0 * (raw_score(x) - 0.5));
-  }
-}
-
 namespace {
 
 // Out-of-line slow paths keep the batched scorer's body free of throw
-// statements (pfm-analyze hotpath); the messages match the reference
-// 2-arg path exactly so conformance errors stay byte-identical.
+// statements (pfm-analyze hotpath); the messages match score()'s.
 // pfm-cold
 [[noreturn]] void throw_batch_size_mismatch() {
   throw std::invalid_argument("score_batch: contexts/out size mismatch");
@@ -697,8 +654,8 @@ void UbfPredictor::score_batch(std::span<const SymptomContext> contexts,
   if (!trained_) throw_not_trained();
   // Gather + sweep live in kernels.cpp — the engine shared with the
   // frozen-artifact path. scratch.kernel picks the sweep: kScalar is
-  // bit-identical to score()/the 2-arg overload, kSimd agrees within the
-  // documented ULP bound (DESIGN.md §13).
+  // bit-identical to score(), kSimd agrees within the documented ULP
+  // bound (DESIGN.md §11).
   score_batch_soa(score_view(), contexts, out, scratch);
 }
 

@@ -73,18 +73,13 @@ class UbfPredictor final : public SymptomPredictor {
   void train(const mon::MonitoringDataset& data) override;
   double score(const SymptomContext& context) const override;
 
-  /// Vectorized scoring: reuses one feature scratch buffer across the
-  /// batch and computes only the selected features (score() derives the
-  /// slope of every variable; the batch path skips unselected ones).
-  void score_batch(std::span<const SymptomContext> contexts,
-                   std::span<double> out) const override;
-
+  using SymptomPredictor::score_batch;
   /// Arena-backed SoA scoring: gathers the selected features of the whole
   /// batch into contiguous per-feature columns inside `scratch`, then
   /// sweeps each Eq. 1 kernel over all contexts at once using cached
-  /// width-derived constants. Every arithmetic step mirrors the reference
-  /// path expression-for-expression, so results are bit-identical to
-  /// score() / the two-argument overload — the conformance suite pins it.
+  /// width-derived constants. Every arithmetic step mirrors score()
+  /// expression-for-expression, so kScalar results are bit-identical to
+  /// it — the conformance suite pins it.
   void score_batch(std::span<const SymptomContext> contexts,
                    std::span<double> out,
                    BatchScratch& scratch) const override;

@@ -1,9 +1,6 @@
 #include "runtime/fleet.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "prediction/frozen.hpp"
@@ -12,16 +9,6 @@
 
 namespace pfm::runtime {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-}  // namespace
-
 FleetController::FleetController(
     std::vector<std::unique_ptr<core::ManagedSystem>> nodes,
     FleetConfig config)
@@ -29,10 +16,7 @@ FleetController::FleetController(
       config_(std::move(config)),
       engines_(nodes_.size()),
       stats_(nodes_.size()),
-      pool_(config_.num_threads,
-            ThreadPoolOptions{
-                .persistent = config_.path != FleetPath::kReference}),
-      node_state_(nodes_.size()) {
+      pool_(config_.num_threads) {
   if (nodes_.empty()) {
     throw std::invalid_argument("FleetController: empty fleet");
   }
@@ -60,13 +44,20 @@ FleetController::FleetController(
         "FleetController: more shards than nodes (need at least one node "
         "per shard)");
   }
+  if (config_.scheduler == FleetScheduler::kLockstep) {
+    // The lockstep preset: one dense shard in per-tick sync. (Not one
+    // shard per thread: breakers are per shard, so results would then
+    // depend on the thread count.)
+    config_.num_shards = 1;
+    config_.epoch_ticks = 1;
+    config_.schedule = SchedulePolicy{};
+  }
   config_.membership.validate();
   member_active_ = config_.membership.active();
   live_nodes_ = nodes_.size();
   if (member_active_) {
     member_timeline_ = config_.membership.plan.resolve();
     incarnations_.assign(nodes_.size(), 0);
-    last_combined_.assign(nodes_.size(), 0.0);
   }
 
   // Observability: use the caller's hub when given (it must have a shard
@@ -115,9 +106,9 @@ FleetController::FleetController(
   nodes_gauge_->set(static_cast<double>(nodes_.size()));
   quarantined_gauge_ = &metrics.gauge("pfm_fleet_quarantined_nodes");
   breakers_open_gauge_ = &metrics.gauge("pfm_fleet_open_breakers");
-  // Evaluate batch sizes are pure functions of sim state (identical on
-  // both paths and at every thread count), so the histogram lives on the
-  // sim clock and participates in the deterministic exports.
+  // Evaluate batch sizes are pure functions of sim state (identical at
+  // every thread count), so the histogram lives on the sim clock and
+  // participates in the deterministic exports.
   obs::HistogramSpec batch_spec;
   batch_spec.first_bound = 1.0;
   batch_spec.factor = 2.0;
@@ -125,8 +116,8 @@ FleetController::FleetController(
   batch_spec.resolution = 1.0;
   inst_.batch_size_hist = &metrics.histogram("pfm_fleet_batch_size",
                                              batch_spec, obs::Clock::kSim);
-  // Arena footprint differs between paths by design — wall clock keeps
-  // it out of the include_wall=false exports the conformance suite pins.
+  // Arena footprint is allocator-dependent — wall clock keeps it out of
+  // the include_wall=false exports the conformance suite pins.
   scratch_bytes_gauge_ =
       &metrics.gauge("pfm_fleet_scratch_bytes", obs::Clock::kWall);
   // Membership counters exist only while membership is active, so an
@@ -146,6 +137,51 @@ FleetController::FleetController(
   }
   for (std::size_t i = 0; i < engines_.size(); ++i) {
     engines_[i].set_observability(obs_, obs::node_track(i));
+  }
+
+  // The shards are built with the fleet, so every node's loop state has
+  // one home from the start.
+  layout_ = core::ShardLayout(nodes_.size(), config_.num_shards);
+  const bool multi = config_.num_shards > 1;
+  shards_.reserve(config_.num_shards);
+  for (std::size_t s = 0; s < config_.num_shards; ++s) {
+    ShardEnv env;
+    env.config = &config_;
+    env.nodes = &nodes_;
+    env.engines = &engines_;
+    env.stats = &stats_;
+    env.symptom = &symptom_;
+    env.event = &event_;
+    env.obs = obs_;
+    env.inst = inst_;
+    // The pool rule: a lone shard runs its stage loops on the pool;
+    // several shards run on the pool themselves, their loops inline.
+    env.pool = multi ? nullptr : &pool_;
+    // A single-shard fleet records its stage spans on the fleet track and
+    // registers no shard-labelled metrics.
+    const std::uint32_t track =
+        multi ? obs::shard_track(s) : obs::kFleetTrack;
+    auto shard = std::make_unique<ShardController>(
+        env, s, layout_.begin(s), layout_.size(s), track);
+    if (multi) {
+      const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
+      shard->set_shard_metrics(
+          &metrics.counter("pfm_shard_ticks_total" + label),
+          &metrics.counter("pfm_shard_node_steps_total" + label));
+      metrics.gauge("pfm_shard_nodes" + label)
+          .set(static_cast<double>(layout_.size(s)));
+      if (member_active_) {
+        ShardMemberCounters counters;
+        counters.joined =
+            &metrics.counter("pfm_shard_membership_joined_total" + label);
+        counters.left =
+            &metrics.counter("pfm_shard_membership_left_total" + label);
+        counters.handoffs =
+            &metrics.counter("pfm_shard_membership_handoffs_total" + label);
+        shard_member_counters_.push_back(counters);
+      }
+    }
+    shards_.push_back(std::move(shard));
   }
 }
 
@@ -197,53 +233,14 @@ void FleetController::run() {
   run_until(horizon);
 }
 
-void FleetController::run_until(double t) {
-  if (config_.scheduler == FleetScheduler::kEventDriven) {
-    run_event_driven(t);
-  } else {
-    run_lockstep(t);
-  }
-}
-
-std::string FleetController::describe(const std::exception_ptr& error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {  // pfm-lint: allow(concurrency) — describing an already
-                   // captured exception_ptr; nothing is swallowed here
-    return "unknown error";
-  }
-}
-
-void FleetController::quarantine(std::size_t node_index,
-                                 const std::string& reason) {
-  auto& state = node_state_[node_index];
-  if (state.quarantined) return;
-  state.quarantined = true;
-  state.reason = reason;
-  state.quarantine_time = nodes_[node_index]->now();
-  inst_.quarantines_total->inc();
-  obs::record_instant(obs_->tracer(), obs::SpanKind::kQuarantine,
-                      obs::node_track(node_index), state.quarantine_time);
-  if (flight_ != nullptr) {
-    flight_->record_node(
-        node_index,
-        obs::FlightEvent{state.quarantine_time,
-                         obs::FlightEventKind::kQuarantine, 0, 0, 0.0});
-    flight_->dump_node(node_index, "quarantine", state.quarantine_time);
-  }
-}
-
 void FleetController::ensure_observers_ready() {
   const std::size_t num_predictors = symptom_.size() + event_.size();
   flight_ = obs_->flight();
   if (flight_ != nullptr) {
     flight_->ensure_nodes(nodes_.size());
     // One predictor lane bank per shard (per-shard breakers trip
-    // independently); the lockstep loop uses bank 0.
-    const std::size_t lane_shards = shards_.empty() ? 1 : shards_.size();
-    flight_->ensure_lanes(lane_shards * num_predictors, num_predictors);
+    // independently).
+    flight_->ensure_lanes(shards_.size() * num_predictors, num_predictors);
     for (std::size_t i = 0; i < engines_.size(); ++i) {
       engines_[i].set_flight(flight_, i);
     }
@@ -275,7 +272,6 @@ void FleetController::ensure_observers_ready() {
   for (const auto& p : event_) labels.push_back(p->name());
   quality_->set_predictors(labels);
   quality_->ensure_nodes(nodes_.size());
-  quality_row_.assign(quality_->lanes(), 0.0);
 }
 
 void FleetController::refresh_quality_gauges() {
@@ -311,483 +307,15 @@ void FleetController::refresh_quality_gauges() {
   }
 }
 
-void FleetController::run_lockstep(double t) {
-  // This thread is the controller for the whole run: quarantine, breaker
-  // and telemetry state below is only ever touched between the parallel
-  // sections (never from the worker lambdas handed to pool_).
+void FleetController::run_until(double t) {
+  // This thread is the controller between the parallel epoch sections:
+  // membership barriers touch shard-owned node state and the layout.
   RoleGuard controller_guard(controller_);
-  const double interval = config_.mea.evaluation_interval;
-  const double threshold = config_.mea.warning_threshold;
-  const ResilienceConfig& res = config_.resilience;
-  const bool hardened = res.enabled;
-
-  // Breakers persist across run_until calls; predictors may have been
-  // registered since the last call.
-  const std::size_t num_predictors = symptom_.size() + event_.size();
-  breakers_.resize(num_predictors);
-  columns_.resize(num_predictors);
-  batch_scratch_.resize(num_predictors);
-  const bool optimized = config_.path != FleetPath::kReference;
-  const pred::BatchKernel kernel = config_.path == FleetPath::kSimd
-                                       ? pred::BatchKernel::kSimd
-                                       : pred::BatchKernel::kScalar;
-  for (auto& scratch : batch_scratch_) scratch.kernel = kernel;
-  ensure_observers_ready();
-
-  // The round scratch lives in members (reused across rounds and calls);
-  // the aliases keep the loop body readable.
-  std::vector<std::size_t>& active = active_;
-  std::vector<double>& pre_step_time = pre_step_time_;
-  std::vector<std::exception_ptr>& errors = round_errors_;
-  std::vector<pred::SymptomContext>& contexts = contexts_;
-  std::vector<std::size_t>& context_owner = context_owner_;
-  std::vector<mon::ErrorSequence>& sequences = sequences_;
-  std::vector<double>& combined = combined_;
-  std::vector<std::vector<double>>& columns = columns_;
-  std::vector<std::size_t>& live = live_;
-
-  obs::TraceRecorder* tracer = obs_->tracer();
-
-  for (;;) {
-    // Membership barrier: churn applies between rounds, on the lockstep
-    // membership clock (rounds started, idle ones included). The clock
-    // advances immediately so the k-th round sees member time k*interval
-    // — the same schedule the event-driven loop derives from its epoch
-    // grid.
-    if (member_active_) {
-      membership_barrier(static_cast<double>(member_ticks_) * interval, t);
-      ++member_ticks_;
-    }
-    active.clear();
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (node_state_[i].quarantined || node_state_[i].departed) continue;
-      if (!nodes_[i]->finished() && nodes_[i]->now() < t) active.push_back(i);
-    }
-    if (active.empty()) {
-      // Idle round: nothing runnable now, but a planned change at a later
-      // membership tick may still add or revive work before `t`.
-      if (!member_active_ || !membership_pending(t)) break;
-      continue;
-    }
-    inst_.rounds_total->inc();
-    // Under lockstep every round is a fleet-wide synchronization point
-    // and every active node steps once, so epochs == rounds and
-    // node_steps advances by the active count.
-    inst_.epochs_total->inc();
-    inst_.node_steps_total->inc(active.size());
-    // Stage spans of one round share the round ordinal as their `sub`,
-    // keeping them unique (and grouped) in the deterministic sort.
-    const auto round = static_cast<std::uint32_t>(inst_.rounds_total->value());
-
-    // --- Monitor: advance every live node one evaluation interval. ----------
-    const auto monitor_start = Clock::now();
-    pre_step_time.resize(active.size());
-    double round_begin = nodes_[active[0]]->now();
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      pre_step_time[a] = nodes_[active[a]]->now();
-      round_begin = std::min(round_begin, pre_step_time[a]);
-    }
-    {
-      obs::ScopedSpan monitor_span(tracer, obs::SpanKind::kMonitorStage,
-                                   obs::kFleetTrack, round_begin, round,
-                                   static_cast<std::int64_t>(active.size()));
-      auto step_node = [&](std::size_t a) {
-        const std::size_t i = active[a];
-        auto& node = *nodes_[i];
-        obs::ScopedSpan span(tracer, obs::SpanKind::kNodeStep,
-                             obs::node_track(i), pre_step_time[a]);
-        node.step_to(std::min(node.now() + interval, t));
-        span.set_sim_end(node.now());
-      };
-      if (hardened) {
-        pool_.parallel_for_captured(active.size(), step_node, errors);
-        for (std::size_t a = 0; a < active.size(); ++a) {
-          const std::size_t i = active[a];
-          if (errors[a]) {
-            inst_.node_faults_total->inc();
-            quarantine(i, describe(errors[a]));
-          } else if (!nodes_[i]->finished() &&
-                     nodes_[i]->now() <= pre_step_time[a]) {
-            // The node returned but made no time progress: a hang, not a
-            // crash. Quarantine only after a persistent streak so a
-            // transient stall can recover.
-            inst_.stall_detections_total->inc();
-            if (++node_state_[i].stall_streak >= res.max_stall_rounds) {
-              quarantine(i, "stalled: no monitor progress for " +
-                                std::to_string(node_state_[i].stall_streak) +
-                                " rounds");
-            }
-          } else {
-            node_state_[i].stall_streak = 0;
-          }
-        }
-        // Nodes quarantined this round drop out of Evaluate/Act. (The
-        // local alias keeps the lambda — analyzed as its own function —
-        // off the role-guarded member; it runs inline on this thread.)
-        const auto& node_state = node_state_;
-        active.erase(std::remove_if(active.begin(), active.end(),
-                                    [&](std::size_t i) {
-                                      return node_state[i].quarantined;
-                                    }),
-                     active.end());
-      } else {
-        pool_.parallel_for(active.size(), step_node);
-      }
-      double round_end = round_begin;
-      for (const std::size_t i : active) {
-        round_end = std::max(round_end, nodes_[i]->now());
-      }
-      monitor_span.set_sim_end(round_end);
-    }
-    inst_.monitor_latency->observe(seconds_since(monitor_start));
-    if (active.empty()) continue;
-
-    // Quality: each surviving node's clock just advanced, so pending
-    // evaluation instants whose prediction window closed are resolved
-    // against the node's ground-truth failure log (Sect. 3.3 matching).
-    if (quality_ != nullptr) {
-      for (const std::size_t i : active) {
-        quality_->resolve(i, nodes_[i]->now(), nodes_[i]->trace().failures());
-      }
-    }
-
-    // --- Evaluate: one score_batch call per predictor over the fleet. -------
-    const auto evaluate_start = Clock::now();
-    // Scoring and acting happen "at" the round's post-Monitor instant; a
-    // deterministic reduction over node clocks, so span timestamps stay
-    // thread-count invariant.
-    double eval_time = nodes_[active[0]]->now();
-    for (const std::size_t i : active) {
-      eval_time = std::max(eval_time, nodes_[i]->now());
-    }
-    {
-    obs::ScopedSpan evaluate_span(tracer, obs::SpanKind::kEvaluateStage,
-                                  obs::kFleetTrack, eval_time, round,
-                                  static_cast<std::int64_t>(active.size()));
-    contexts.clear();
-    context_owner.clear();
-    sequences.clear();
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      auto& node = *nodes_[active[a]];
-      ++stats_[active[a]].evaluations;
-      if (!symptom_.empty() && !node.trace().samples().empty()) {
-        contexts.push_back(node.symptom_context(config_.mea.context_samples));
-        contexts.back().origin = active[a];
-        contexts.back().ordinal = stats_[active[a]].evaluations;
-        context_owner.push_back(a);
-      }
-      if (!event_.empty()) {
-        sequences.push_back(
-            node.error_sequence(config_.mea.windows.data_window));
-        sequences.back().origin = active[a];
-        sequences.back().ordinal = stats_[active[a]].evaluations;
-      }
-    }
-    if (!symptom_.empty()) {
-      inst_.batch_size_hist->observe(static_cast<double>(contexts.size()));
-    }
-    if (!event_.empty()) {
-      inst_.batch_size_hist->observe(static_cast<double>(sequences.size()));
-    }
-
-    // Breaker scheduling: open breakers sit out their cooldown, then get
-    // one half-open probe round; closed (and probing) predictors score.
-    live.clear();
-    for (std::size_t p = 0; p < num_predictors; ++p) {
-      if (hardened && breakers_[p].open && breakers_[p].open_rounds_left > 0) {
-        --breakers_[p].open_rounds_left;
-        continue;
-      }
-      live.push_back(p);
-    }
-
-    auto score_live = [&](std::size_t lp) {
-      const std::size_t p = live[lp];
-      auto& column = columns[p];
-      obs::ScopedSpan span(tracer, obs::SpanKind::kScoreBatch,
-                           obs::predictor_track(p), eval_time);
-      if (p < symptom_.size()) {
-        column.resize(contexts.size());
-        if (optimized) {
-          symptom_[p]->score_batch(contexts, column, batch_scratch_[p]);
-        } else {
-          symptom_[p]->score_batch(contexts, column);
-        }
-      } else {
-        column.resize(sequences.size());
-        const auto& ep = *event_[p - symptom_.size()];
-        if (optimized) {
-          ep.score_batch(sequences, column, batch_scratch_[p]);
-        } else {
-          ep.score_batch(sequences, column);
-        }
-      }
-      span.set_arg(static_cast<std::int64_t>(column.size()));
-    };
-    if (hardened) {
-      pool_.parallel_for_captured(live.size(), score_live, errors);
-    } else {
-      pool_.parallel_for(live.size(), score_live);
-    }
-
-    // Per-predictor outcome: a throw or any non-finite score is a faulty
-    // round feeding the breaker; a clean round closes/heals it.
-    combined.assign(active.size(), 0.0);
-    for (std::size_t lp = 0; lp < live.size(); ++lp) {
-      const std::size_t p = live[lp];
-      const bool threw = hardened && errors[lp] != nullptr;
-      bool faulty = threw;
-      if (!threw) {
-        const auto& column = columns[p];
-        const std::size_t n = column.size();
-        inst_.scores_total->inc(n);
-        if (p < symptom_.size()) {
-          for (std::size_t c = 0; c < n; ++c) {
-            const double v = column[c];
-            if (hardened && !std::isfinite(v)) {
-              inst_.scores_sanitized_total->inc();
-              faulty = true;
-              continue;
-            }
-            combined[context_owner[c]] =
-                std::max(combined[context_owner[c]], v);
-          }
-        } else {
-          for (std::size_t a = 0; a < n; ++a) {
-            const double v = column[a];
-            if (hardened && !std::isfinite(v)) {
-              inst_.scores_sanitized_total->inc();
-              faulty = true;
-              continue;
-            }
-            combined[a] = std::max(combined[a], v);
-          }
-        }
-      }
-      if (!hardened) continue;
-      auto& breaker = breakers_[p];
-      if (faulty) {
-        inst_.predictor_faults_total->inc();
-        bool tripped = false;
-        if (breaker.open) {
-          // Half-open probe failed: back to a full cooldown.
-          breaker.open_rounds_left = res.breaker_open_rounds;
-          inst_.breaker_trips_total->inc();
-          obs::record_instant(tracer, obs::SpanKind::kBreakerTrip,
-                              obs::predictor_track(p), eval_time, round);
-          tripped = true;
-        } else if (++breaker.failure_streak >= res.breaker_trip_failures) {
-          breaker.open = true;
-          breaker.open_rounds_left = res.breaker_open_rounds;
-          inst_.breaker_trips_total->inc();
-          obs::record_instant(tracer, obs::SpanKind::kBreakerTrip,
-                              obs::predictor_track(p), eval_time, round);
-          tripped = true;
-        }
-        if (tripped && flight_ != nullptr) {
-          // A trip is an incident: the lane's ring (ending in the trip
-          // itself) becomes a post-mortem.
-          flight_->record_lane(
-              p, obs::FlightEvent{eval_time,
-                                  obs::FlightEventKind::kBreakerTrip, round,
-                                  static_cast<std::int64_t>(
-                                      breaker.failure_streak),
-                                  0.0});
-          flight_->dump_lane(p, "breaker", eval_time);
-        }
-      } else {
-        if (breaker.open) {
-          // A successful half-open probe closes the breaker.
-          obs::record_instant(tracer, obs::SpanKind::kBreakerClose,
-                              obs::predictor_track(p), eval_time, round);
-          if (flight_ != nullptr) {
-            flight_->record_lane(
-                p, obs::FlightEvent{eval_time,
-                                    obs::FlightEventKind::kBreakerClose,
-                                    round, 0, 0.0});
-          }
-        }
-        breaker.open = false;
-        breaker.failure_streak = 0;
-      }
-    }
-    if (member_active_) {
-      // The elasticity policy reads these at the next barrier (drain
-      // signal per node, summed failure mass fleet-wide).
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        last_combined_[active[a]] = combined[a];
-      }
-    }
-    if (flight_ != nullptr) {
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        const std::size_t i = active[a];
-        flight_->record_node(
-            i, obs::FlightEvent{nodes_[i]->now(),
-                                obs::FlightEventKind::kScore, 0, 0,
-                                combined[a]});
-      }
-    }
-    // Quality: record this round's evaluation instants. Per-predictor
-    // lanes get their own column value (NaN when the predictor sat out —
-    // open breaker, a throw, or a sanitized non-finite score); the
-    // trailing combined lane gets the max-reduced score the warning
-    // decision actually thresholds.
-    if (quality_ != nullptr) {
-      const double nan = std::numeric_limits<double>::quiet_NaN();
-      scored_.assign(num_predictors, 0);
-      for (std::size_t lp = 0; lp < live.size(); ++lp) {
-        if (!hardened || errors[lp] == nullptr) scored_[live[lp]] = 1;
-      }
-      ctx_of_active_.assign(active.size(), -1);
-      for (std::size_t c = 0; c < context_owner.size(); ++c) {
-        ctx_of_active_[context_owner[c]] = static_cast<std::ptrdiff_t>(c);
-      }
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        const std::size_t i = active[a];
-        for (std::size_t p = 0; p < num_predictors; ++p) {
-          double v = nan;
-          if (scored_[p] != 0) {
-            if (p < symptom_.size()) {
-              const std::ptrdiff_t c = ctx_of_active_[a];
-              if (c >= 0) v = columns[p][static_cast<std::size_t>(c)];
-            } else {
-              v = columns[p][a];
-            }
-            if (!std::isfinite(v)) v = nan;
-          }
-          quality_row_[p] = v;
-        }
-        quality_row_[num_predictors] = combined[a];
-        quality_->observe(i, nodes_[i]->now(), quality_row_.data());
-      }
-    }
-    }  // evaluate_span
-    inst_.evaluate_latency->observe(seconds_since(evaluate_start));
-    if (optimized) {
-      // Footprint accounting: after warm-up the arenas stop growing, so
-      // this settles to zero new events (the stress suite asserts it).
-      const std::size_t bytes = scratch_capacity_bytes();
-      if (bytes > scratch_bytes_seen_) {
-        ++scratch_grow_events_;
-        scratch_bytes_seen_ = bytes;
-        scratch_bytes_gauge_->set(static_cast<double>(bytes));
-      }
-    }
-
-    // --- Act: warned nodes run their own countermeasure engines. ------------
-    const auto act_start = Clock::now();
-    {
-      obs::ScopedSpan act_span(tracer, obs::SpanKind::kActStage,
-                               obs::kFleetTrack, eval_time, round);
-      std::int64_t warned = 0;
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        if (combined[a] < threshold) continue;
-        ++warned;
-        inst_.warnings_total->inc();
-        obs::record_instant(tracer, obs::SpanKind::kWarning,
-                            obs::node_track(active[a]),
-                            nodes_[active[a]]->now(), 0,
-                            static_cast<std::int64_t>(combined[a] * 1e6));
-        if (flight_ != nullptr) {
-          flight_->record_node(
-              active[a],
-              obs::FlightEvent{nodes_[active[a]]->now(),
-                               obs::FlightEventKind::kWarning, 0,
-                               static_cast<std::int64_t>(combined[a] * 1e6),
-                               combined[a]});
-        }
-      }
-      act_span.set_arg(warned);
-      auto act_node = [&](std::size_t a) {
-        if (combined[a] < threshold) return;
-        const std::size_t i = active[a];
-        ++stats_[i].warnings;
-        engines_[i].act(*nodes_[i], combined[a], config_.mea, stats_[i]);
-      };
-      if (hardened) {
-        pool_.parallel_for_captured(active.size(), act_node, errors);
-        for (std::size_t a = 0; a < active.size(); ++a) {
-          if (!errors[a]) continue;
-          inst_.node_faults_total->inc();
-          quarantine(active[a], describe(errors[a]));
-        }
-      } else {
-        pool_.parallel_for(active.size(), act_node);
-      }
-    }
-    inst_.act_latency->observe(seconds_since(act_start));
-  }
-
-  // Scrape-facing level gauges, refreshed when the loop settles (gauges
-  // are controller-thread instruments).
-  std::size_t quarantined = 0;
-  for (const auto& state : node_state_) {
-    if (state.quarantined) ++quarantined;
-  }
-  quarantined_gauge_->set(static_cast<double>(quarantined));
-  std::size_t open = 0;
-  for (const auto& breaker : breakers_) {
-    if (breaker.open) ++open;
-  }
-  breakers_open_gauge_->set(static_cast<double>(open));
-  refresh_quality_gauges();
-}
-
-void FleetController::ensure_shards() {
-  if (!shards_.empty()) return;
-  layout_ = core::ShardLayout(nodes_.size(), config_.num_shards);
-  auto& metrics = obs_->metrics();
-  const bool multi = config_.num_shards > 1;
-  shards_.reserve(config_.num_shards);
-  for (std::size_t s = 0; s < config_.num_shards; ++s) {
-    ShardEnv env;
-    env.config = &config_;
-    env.nodes = &nodes_;
-    env.engines = &engines_;
-    env.stats = &stats_;
-    env.symptom = &symptom_;
-    env.event = &event_;
-    env.obs = obs_;
-    env.inst = inst_;
-    // A single-shard fleet records its stage spans on the fleet track and
-    // registers no shard-labelled metrics, keeping its exports identical
-    // to the lockstep loop's.
-    const std::uint32_t track =
-        multi ? obs::shard_track(s) : obs::kFleetTrack;
-    auto shard = std::make_unique<ShardController>(
-        env, s, layout_.begin(s), layout_.size(s), track);
-    if (multi) {
-      const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
-      shard->set_shard_metrics(
-          &metrics.counter("pfm_shard_ticks_total" + label),
-          &metrics.counter("pfm_shard_node_steps_total" + label));
-      metrics.gauge("pfm_shard_nodes" + label)
-          .set(static_cast<double>(layout_.size(s)));
-      if (member_active_) {
-        ShardMemberCounters counters;
-        counters.joined =
-            &metrics.counter("pfm_shard_membership_joined_total" + label);
-        counters.left =
-            &metrics.counter("pfm_shard_membership_left_total" + label);
-        counters.handoffs =
-            &metrics.counter("pfm_shard_membership_handoffs_total" + label);
-        shard_member_counters_.push_back(counters);
-      }
-    }
-    shards_.push_back(std::move(shard));
-  }
-}
-
-void FleetController::run_event_driven(double t) {
-  // Membership barriers touch the role-guarded banks (restart resets,
-  // member_state routing); this thread is the controller between the
-  // parallel epoch sections, exactly like the lockstep loop.
-  RoleGuard controller_guard(controller_);
-  ensure_shards();
   ensure_observers_ready();
   const double interval = config_.mea.evaluation_interval;
   const std::size_t num_predictors = symptom_.size() + event_.size();
   for (auto& shard : shards_) {
+    // Predictors may have been registered since the last run.
     shard->resize_predictors(num_predictors);
     // Each shard records breaker incidents into its own flight lane bank
     // (per-shard breakers trip independently).
@@ -797,41 +325,39 @@ void FleetController::run_event_driven(double t) {
   }
   for (;;) {
     // Membership barrier on the epoch grid: before the k-th epoch the
-    // clock reads epoch_end_tick_ (= k * epoch_ticks) intervals — the
-    // same schedule the lockstep loop derives from its round counter.
-    // Every shard's calendar cursor sits on this shared tick here, which
-    // is what makes the reshard handoff's calendar rebuild exact.
+    // clock reads epoch_end_tick_ (= k * epoch_ticks) intervals. Every
+    // shard's calendar cursor sits on this shared tick here, which is
+    // what makes the reshard handoff's calendar rebuild exact.
     if (member_active_) {
       membership_barrier(
           static_cast<double>(epoch_end_tick_) * interval, t);
     }
-    bool all_idle = true;
-    for (const auto& shard : shards_) {
-      if (!shard->idle()) {
-        all_idle = false;
-        break;
-      }
-    }
+    const bool all_idle =
+        std::all_of(shards_.begin(), shards_.end(),
+                    [](const auto& shard) { return shard->idle(); });
     if (all_idle) {
       if (!member_active_ || !membership_pending(t)) break;
       // Idle epoch while churn is still due: advance only the membership
       // clock (no work ran, so the epochs counter — a count of
-      // synchronization points that did work — stays put, matching the
-      // lockstep loop's idle rounds).
+      // synchronization points that did work — stays put).
       epoch_end_tick_ += config_.epoch_ticks;
       continue;
     }
     // One cross-shard epoch: every shard drains its calendar up to the
-    // shared barrier tick in parallel (one pool thread per shard; all
-    // state a shard touches is shard-local, so the pool handshake is the
-    // only synchronization). With resilience enabled shards absorb
-    // component faults internally and never throw; fail-fast mode
-    // propagates the first fault, like the lockstep loop.
+    // shared barrier tick. All state a shard touches is shard-local, so
+    // the pool handshake is the only synchronization. With resilience
+    // enabled shards absorb component faults internally and never
+    // throw; fail-fast mode propagates the first fault.
     inst_.epochs_total->inc();
     epoch_end_tick_ += config_.epoch_ticks;
     const std::uint64_t end_tick = epoch_end_tick_;
-    pool_.parallel_for(shards_.size(),
-                       [&](std::size_t s) { shards_[s]->run_epoch(end_tick, t); });
+    if (shards_.size() == 1) {
+      shards_[0]->run_epoch(end_tick, t);  // its stage loops use the pool
+    } else {
+      pool_.parallel_for(shards_.size(), [&](std::size_t s) {
+        shards_[s]->run_epoch(end_tick, t);
+      });
+    }
   }
 
   // Scrape-facing level gauges, refreshed when the loop settles (gauges
@@ -844,10 +370,7 @@ void FleetController::run_event_driven(double t) {
   }
   quarantined_gauge_->set(static_cast<double>(quarantined));
   breakers_open_gauge_->set(static_cast<double>(open));
-  if (config_.path != FleetPath::kReference) {
-    scratch_bytes_gauge_->set(
-        static_cast<double>(scratch_capacity_bytes()));
-  }
+  scratch_bytes_gauge_->set(static_cast<double>(scratch_capacity_bytes()));
   refresh_quality_gauges();
 }
 
@@ -886,7 +409,7 @@ void FleetController::apply_member_change(
     throw std::out_of_range("MembershipPlan: change targets unknown node " +
                             std::to_string(change.node));
   }
-  if (!shards_.empty() && change.node >= layout_.num_nodes) {
+  if (change.node >= layout_.num_nodes) {
     // The target joined earlier in this same barrier; give it a shard
     // slot before touching its state.
     reshard(member_now);
@@ -934,9 +457,7 @@ std::size_t FleetController::member_join(double at_time, bool policy_driven) {
                                policy_driven ? 1 : 0, 0.0});
   }
   stats_.emplace_back();
-  node_state_.emplace_back();
   incarnations_.push_back(0);
-  last_combined_.push_back(0.0);
   ++live_nodes_;
   layout_dirty_ = true;
   member_joined_total_->inc();
@@ -1035,13 +556,10 @@ void FleetController::member_restart(std::size_t i, double at_time) {
   // dense. Only MeaStats stays cumulative, so injection decision-stream
   // ordinals keep rising and never replay.
   state = FleetNodeState{};
-  if (!shards_.empty()) {
-    const std::size_t s = layout_.shard_of(i);
-    shards_[s]->node_sched_mut(i - layout_.begin(s)) = NodeSchedule{};
-    // Its stale calendar entry is dropped by the barrier's reshard
-    // rebuild (layout_dirty_ below forces one).
-  }
-  last_combined_[i] = 0.0;
+  const std::size_t s = layout_.shard_of(i);
+  shards_[s]->node_sched_mut(i - layout_.begin(s)) = NodeSchedule{};
+  // Its stale calendar entry is dropped by the barrier's reshard rebuild
+  // (layout_dirty_ forces one).
   layout_dirty_ = true;
   member_left_total_->inc();
   member_joined_total_->inc();
@@ -1068,8 +586,7 @@ void FleetController::evaluate_policy(double member_now) {
   bool acted = false;
   // Slots joined earlier in this barrier have no scores yet; they are
   // excluded until the reshard gives them shard state.
-  const std::size_t limit =
-      !shards_.empty() ? layout_.num_nodes : nodes_.size();
+  const std::size_t limit = layout_.num_nodes;
 
   // Drain-and-failover: nodes whose failure probability crossed the
   // drain threshold leave gracefully; a fresh replacement joins at once.
@@ -1096,14 +613,7 @@ void FleetController::evaluate_policy(double member_now) {
   // threshold, add headroom before the failures land.
   if (policy.scale_up_mass >= 0.0 && policy_joins_ < policy.max_policy_joins) {
     double mass = 0.0;
-    if (!shards_.empty()) {
-      for (const auto& shard : shards_) mass += shard->score_mass();
-    } else {
-      for (std::size_t i = 0; i < limit; ++i) {
-        if (node_state_[i].quarantined || node_state_[i].departed) continue;
-        mass += last_combined_[i];
-      }
-    }
+    for (const auto& shard : shards_) mass += shard->score_mass();
     if (mass >= policy.scale_up_mass) {
       const std::size_t count = std::min(
           policy.scale_up_nodes, policy.max_policy_joins - policy_joins_);
@@ -1123,7 +633,6 @@ void FleetController::evaluate_policy(double member_now) {
 }
 
 void FleetController::reshard(double member_now) {
-  if (shards_.empty()) return;  // lockstep keeps global state; nothing to do
   const core::ShardLayout old_layout = layout_;
   const core::ShardLayout new_layout(nodes_.size(), config_.num_shards);
   // Export every slot's shard-owned state while all calendar cursors sit
@@ -1167,29 +676,23 @@ void FleetController::reshard(double member_now) {
   layout_ = new_layout;
 }
 
+const FleetNodeState& FleetController::node_state(std::size_t i) const {
+  const std::size_t s = layout_.shard_of(i);
+  return shards_[s]->node_state(i - layout_.begin(s));
+}
+
 FleetNodeState& FleetController::member_state(std::size_t i) {
-  if (!shards_.empty() && i < layout_.num_nodes) {
-    const std::size_t s = layout_.shard_of(i);
-    return shards_[s]->node_state_mut(i - layout_.begin(s));
-  }
-  return node_state_.at(i);
+  const std::size_t s = layout_.shard_of(i);
+  return shards_[s]->node_state_mut(i - layout_.begin(s));
 }
 
 double FleetController::member_score(std::size_t i) const {
-  if (!shards_.empty() && i < layout_.num_nodes) {
-    const std::size_t s = layout_.shard_of(i);
-    return shards_[s]->node_sched(i - layout_.begin(s)).last_score;
-  }
-  return last_combined_.at(i);
+  const std::size_t s = layout_.shard_of(i);
+  return shards_[s]->node_sched(i - layout_.begin(s)).last_score;
 }
 
 bool FleetController::node_departed(std::size_t i) const {
-  RoleGuard guard(controller_);
-  if (!shards_.empty() && i < layout_.num_nodes) {
-    const std::size_t s = layout_.shard_of(i);
-    return shards_[s]->node_state(i - layout_.begin(s)).departed;
-  }
-  return node_state_.at(i).departed;
+  return node_state(i).departed;
 }
 
 std::size_t FleetController::node_incarnation(std::size_t i) const {
@@ -1200,27 +703,15 @@ std::size_t FleetController::node_incarnation(std::size_t i) const {
 }
 
 bool FleetController::node_quarantined(std::size_t i) const {
-  RoleGuard guard(controller_);
-  if (!shards_.empty()) {
-    const std::size_t s = layout_.shard_of(i);
-    return shards_[s]->node_state(i - layout_.begin(s)).quarantined;
-  }
-  return node_state_.at(i).quarantined;
+  return node_state(i).quarantined;
 }
 
 const std::string& FleetController::node_quarantine_reason(
     std::size_t i) const {
-  RoleGuard guard(controller_);
-  if (!shards_.empty()) {
-    const std::size_t s = layout_.shard_of(i);
-    return shards_[s]->node_state(i - layout_.begin(s)).reason;
-  }
-  return node_state_.at(i).reason;
+  return node_state(i).reason;
 }
 
 bool FleetController::predictor_tripped(std::size_t p) const {
-  RoleGuard guard(controller_);
-  if (p < breakers_.size() && breakers_[p].open) return true;
   for (const auto& shard : shards_) {
     if (shard->breaker_open(p)) return true;
   }
@@ -1229,19 +720,17 @@ bool FleetController::predictor_tripped(std::size_t p) const {
 
 std::size_t FleetController::scratch_capacity_bytes() const noexcept {
   std::size_t total = 0;
-  for (const auto& s : batch_scratch_) total += s.capacity_bytes();
   for (const auto& shard : shards_) total += shard->scratch_capacity_bytes();
   return total;
 }
 
 std::size_t FleetController::scratch_grow_events() const noexcept {
-  std::size_t total = scratch_grow_events_;
+  std::size_t total = 0;
   for (const auto& shard : shards_) total += shard->scratch_grow_events();
   return total;
 }
 
 FleetTelemetry FleetController::telemetry() const {
-  RoleGuard guard(controller_);
   FleetTelemetry out;
   out.nodes = live_nodes_;
   // Counter-valued fields are views over the metrics registry — the same
@@ -1259,14 +748,7 @@ FleetTelemetry FleetController::telemetry() const {
   out.resilience.predictor_faults = inst_.predictor_faults_total->value();
   out.resilience.breaker_trips = inst_.breaker_trips_total->value();
   out.resilience.scores_sanitized = inst_.scores_sanitized_total->value();
-  // Level counts live wherever the scheduler keeps its state: the
-  // lockstep banks, the shard banks, or both (one of them is all-zero).
-  for (const auto& state : node_state_) {
-    if (state.quarantined) ++out.resilience.nodes_quarantined;
-  }
-  for (const auto& breaker : breakers_) {
-    if (breaker.open) ++out.resilience.breakers_open;
-  }
+  // Level counts live in the shard banks.
   for (const auto& shard : shards_) {
     out.resilience.nodes_quarantined += shard->quarantined_nodes();
     out.resilience.breakers_open += shard->open_breakers();

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -39,7 +38,7 @@ struct ResilienceConfig {
   std::size_t breaker_open_rounds = 8;
 };
 
-/// Online prediction-quality scoreboard (DESIGN.md §12): a fleet-wide
+/// Online prediction-quality scoreboard (DESIGN.md §10): a fleet-wide
 /// obs::QualityTracker matching live warnings against ground-truth
 /// failures (the Sect. 3.3 rule), plus a live Eq. 8 availability
 /// estimate driven by the windowed combined-lane quality. Inactive (the
@@ -65,37 +64,18 @@ struct FleetQualityConfig {
   ctmc::PfmModelParams model;
 };
 
-/// Execution path of the fleet loop's hot stages. All paths compute the
-/// same function — the conformance suite pins scores, telemetry and every
-/// sim-time export byte-identical between them at several thread counts —
-/// so the toggle trades only wall time, never results.
-enum class FleetPath : std::uint8_t {
-  /// Original shape: fork/join pool handshake per parallel section,
-  /// per-call scoring buffers inside score_batch.
-  kReference = 0,
-  /// Hot-path shape: persistent pool workers (generation-counter barrier,
-  /// per-shard queues) and arena-backed SoA batched scoring that reuses
-  /// one scratch arena per predictor across rounds.
-  kOptimized = 1,
-  /// kOptimized plus the vectorized Eq. 1 kernel sweep (num::simd vexp
-  /// over the SoA columns instead of libm). Scores differ from the other
-  /// paths only within the documented ULP bound (DESIGN.md §13); every
-  /// threshold decision — and therefore every sim-time export — stays
-  /// byte-identical on the conformance corpus.
-  kSimd = 2
-};
-
-/// Loop structure of the fleet runtime.
+/// Loop structure of the fleet runtime. Both schedulers run on the shard
+/// engine (runtime/shard.hpp): per-shard controllers that drain a
+/// calendar queue of node due-times between cross-shard epoch barriers.
 enum class FleetScheduler : std::uint8_t {
-  /// One global round: every live node steps, the whole fleet is scored,
-  /// warned nodes act — all in lockstep. The PR-5 reference shape.
+  /// Preset: one shard, a dense schedule and epoch_ticks == 1 — every
+  /// live node steps, the fleet is scored and warned nodes act once per
+  /// evaluation interval, in lockstep. Ignores num_shards, epoch_ticks
+  /// and schedule.
   kLockstep = 0,
-  /// Sharded hierarchical controllers driven by a per-shard calendar
-  /// queue (runtime/schedule.hpp): each shard drains its own event
-  /// calendar between cross-shard epoch barriers, and nodes carry
-  /// adaptive next-due times instead of being stepped every round. With
-  /// a dense schedule, one shard and epoch_ticks == 1 every sim-time
-  /// export is byte-identical to the lockstep path (conformance-pinned).
+  /// The configurable engine: num_shards contiguous shards, barriers
+  /// every epoch_ticks calendar ticks, and nodes visited per the sampling
+  /// policy in `schedule` (adaptive backoff for quiet nodes, if enabled).
   kEventDriven = 1
 };
 
@@ -106,30 +86,32 @@ struct FleetConfig {
   /// Threads applied to the fleet loop (caller included). The thread
   /// count never affects results — only wall time.
   std::size_t num_threads = 1;
-  /// Hot-path selection (wall-time only; see FleetPath).
-  FleetPath path = FleetPath::kOptimized;
+  /// Compute kernel of the arena-backed batch scoring. kScalar is
+  /// bit-identical to score(); kSimd sweeps the Eq. 1 kernels through
+  /// num::simd, so scores agree within the documented ULP bound (DESIGN.md
+  /// §11) while every threshold decision — and therefore every sim-time
+  /// export — stays byte-identical on the conformance corpus.
+  pred::BatchKernel kernel = pred::BatchKernel::kScalar;
   /// Loop structure (see FleetScheduler). Defaults to the lockstep
-  /// reference shape; the sharded event-driven path is opt-in.
+  /// preset; sharding and adaptive sampling are opt-in.
   FleetScheduler scheduler = FleetScheduler::kLockstep;
-  /// Shards of the event-driven path (ignored under kLockstep). Nodes
-  /// are partitioned into contiguous blocks (core::ShardLayout); shards
-  /// run in parallel on the pool, everything inside a shard is
-  /// sequential. Results depend on the shard count (per-shard breakers
-  /// and batches) but never on the thread count.
+  /// Shards of the event-driven engine (the lockstep preset uses one).
+  /// Nodes are partitioned into contiguous blocks (core::ShardLayout).
+  /// Results depend on the shard count (per-shard breakers and batches)
+  /// but never on the thread count.
   std::size_t num_shards = 1;
   /// Calendar ticks each shard advances between cross-shard epoch
-  /// barriers (event-driven only). Larger values amortize the barrier;
-  /// 1 keeps shards in per-tick sync (and epochs == rounds, the
-  /// lockstep-equivalent accounting).
+  /// barriers (event-driven only; the preset uses 1). Larger values
+  /// amortize the barrier; 1 keeps shards in per-tick sync (and
+  /// epochs == rounds).
   std::size_t epoch_ticks = 8;
-  /// Adaptive sampling policy of the event-driven scheduler.
+  /// Sampling policy of the event-driven engine (the preset is dense).
   SchedulePolicy schedule;
   /// Elastic membership: a deterministic churn plan (scale-out bursts,
   /// rolling restarts, zone loss, drain) plus the closed-loop elasticity
-  /// policy, applied at membership barriers — lockstep round starts, or
-  /// event-driven epoch barriers. Inactive (the default) costs nothing:
-  /// no membership metrics are registered and every export stays
-  /// byte-identical to a membership-free build. Note that an active
+  /// policy, applied at epoch barriers. Inactive (the default) costs
+  /// nothing: no membership metrics are registered and every export
+  /// stays byte-identical to a membership-free build. Note that an active
   /// config quantizes churn to epoch boundaries, so epoch_ticks becomes
   /// semantic for churn timing (results stay thread-count invariant).
   membership::MembershipConfig membership;
@@ -175,17 +157,18 @@ struct FleetTelemetry {
   /// Live (non-departed) nodes; equals the fleet size while membership
   /// is inactive.
   std::size_t nodes = 0;
-  /// Evaluation rounds: lockstep fleet rounds, or — event-driven —
-  /// calendar ticks processed summed over shards. Kept for continuity;
-  /// round-based thresholds are defined in the two fields below.
+  /// Evaluation rounds: calendar ticks that stepped at least one node,
+  /// summed over shards (under the lockstep preset, one per evaluation
+  /// interval). Round-based thresholds are defined in the two fields
+  /// below.
   std::size_t rounds = 0;
-  /// Cross-fleet synchronization points: lockstep rounds, or epoch
-  /// barriers of the event-driven path. epochs == rounds under lockstep
-  /// (and under the event-driven path with epoch_ticks == 1).
+  /// Cross-fleet synchronization points: epoch barriers that ran work.
+  /// epochs == rounds under the lockstep preset (one shard, epoch_ticks
+  /// == 1).
   std::size_t epochs = 0;
   /// Individual node Monitor steps. This is the unit quarantine
   /// thresholds (max_stall_rounds) count in: node-local steps, not
-  /// global rounds — identical under lockstep, but an adaptively
+  /// global rounds — identical under a dense schedule, but an adaptively
   /// backed-off node steps far fewer times than the fleet runs rounds.
   std::size_t node_steps = 0;
   std::size_t scores_computed = 0;  ///< individual predictor scores
@@ -201,8 +184,8 @@ struct FleetTelemetry {
                               ///< the retired stats of replaced systems
 };
 
-/// Per-node loop state beyond the MEA counters. Owned by the lockstep
-/// controller or — event-driven — by the node's shard.
+/// Per-node loop state beyond the MEA counters. Owned by the node's shard;
+/// a reshard hands it to the new owner (NodeHandoff).
 struct FleetNodeState {
   bool quarantined = false;
   std::string reason;
@@ -216,19 +199,18 @@ struct FleetNodeState {
 };
 
 /// Per-predictor circuit breaker (closed -> open -> half-open probe).
-/// Event-driven shards each keep their own bank: a predictor that only
-/// misbehaves for one shard's batches trips only there. The open/probe
-/// cooldown counts the owning controller's evaluation rounds (shard
-/// ticks under the event-driven path).
+/// Each shard keeps its own bank: a predictor that only misbehaves for
+/// one shard's batches trips only there. The open/probe cooldown counts
+/// the owning shard's evaluation rounds (its calendar ticks).
 struct PredictorBreaker {
   std::size_t failure_streak = 0;    ///< consecutive faulty rounds
   bool open = false;
   std::size_t open_rounds_left = 0;  ///< rounds until the half-open probe
 };
 
-/// Prebuilt metric handles shared by the lockstep loop and the shard
-/// controllers. All sharded instruments — safe to bump from worker
-/// threads by construction (each thread owns its registry shard).
+/// Prebuilt metric handles shared by the shard controllers. All sharded
+/// instruments — safe to bump from worker threads by construction (each
+/// thread owns its registry shard).
 struct FleetInstruments {
   obs::Counter* rounds_total = nullptr;
   obs::Counter* epochs_total = nullptr;
@@ -252,23 +234,19 @@ struct FleetInstruments {
 /// production scale: shared, immutable predictors; one Act engine and
 /// one deterministic RNG stream per node.
 ///
-/// Under the default kLockstep scheduler rounds are lockstep: every
-/// unfinished node advances one evaluation interval (Monitor, parallel
-/// over nodes), then each predictor scores the whole fleet in one
-/// score_batch call (Evaluate, parallel over predictors), then warned
-/// nodes run their countermeasures (Act, parallel over nodes). Nodes
-/// never share mutable state, every output lands in its own slot, and
-/// per-node randomness lives inside the node, so results are
-/// bit-identical for any thread count.
-///
-/// Under kEventDriven the fleet is partitioned into contiguous shards
-/// (core::ShardLayout), each owned by a ShardController that drains its
-/// own calendar queue of node due-times (runtime/schedule.hpp) —
-/// Monitor/Evaluate/Act per calendar tick over just the due set, with
-/// adaptive sampling backing quiet nodes off. Shards run in parallel
-/// between cross-shard epoch barriers; everything inside a shard is
-/// sequential and shard-local, so results are bit-identical for any
-/// thread count and each shard replays independently.
+/// The fleet is partitioned into contiguous shards (core::ShardLayout),
+/// each owned by a ShardController that drains its own calendar queue of
+/// node due-times (runtime/schedule.hpp): per calendar tick, the due
+/// nodes step (Monitor), each predictor scores the due set in one
+/// arena-backed score_batch call (Evaluate), and warned nodes run their
+/// countermeasures (Act). Shards meet at cross-shard epoch barriers,
+/// where membership changes apply. The pool rule: a one-shard fleet —
+/// the lockstep preset included — runs its shard's Monitor, per-predictor
+/// Evaluate and Act loops on the pool; with several shards the pool runs
+/// the shards and each shard runs its loops inline. Nodes never share
+/// mutable state, every output lands in its own slot, and per-node
+/// randomness lives inside the node, so results are bit-identical for
+/// any thread count.
 ///
 /// The loop is itself proactively fault-managed (ResilienceConfig):
 ///  - a node whose Monitor/Act stage throws, or that stops making time
@@ -329,24 +307,23 @@ class FleetController {
   /// +1 per membership restart. Always 0 while membership is inactive.
   std::size_t node_incarnation(std::size_t i) const;
 
-  /// True when predictor `p`'s breaker is currently open (predictors are
-  /// numbered symptom first, then event, in registration order). Under
-  /// the event-driven path breakers are per-shard; this reports whether
-  /// *any* shard currently has predictor `p` tripped.
+  /// True when predictor `p`'s breaker is currently open in any shard
+  /// (predictors are numbered symptom first, then event, in registration
+  /// order; breakers are per-shard).
   bool predictor_tripped(std::size_t p) const;
 
   /// Aggregates the current per-node statistics and latency counters.
   /// Counter-valued fields are read back from the metrics registry.
   FleetTelemetry telemetry() const;
 
-  /// Total reserved bytes across the per-predictor scoring arenas (the
-  /// optimized path's reusable scratch; 0 on the reference path). Also
-  /// exported as the wall-clock gauge `pfm_fleet_scratch_bytes`.
+  /// Total reserved bytes across the shards' per-predictor scoring
+  /// arenas. Also exported as the wall-clock gauge
+  /// `pfm_fleet_scratch_bytes`.
   std::size_t scratch_capacity_bytes() const noexcept;
 
-  /// Number of rounds that grew the arena footprint (summed over shards
-  /// under the event-driven path). Stabilizes after warm-up — the stress
-  /// suite asserts no growth once the fleet reached steady state.
+  /// Number of rounds that grew the arena footprint, summed over shards.
+  /// Stabilizes after warm-up — the stress suite asserts no growth once
+  /// the fleet reached steady state.
   std::size_t scratch_grow_events() const noexcept;
 
   /// The hub the controller records into: the external one from
@@ -372,13 +349,6 @@ class FleetController {
       const std::string& dir) const;
 
  private:
-  void quarantine(std::size_t node_index, const std::string& reason)
-      PFM_REQUIRES(controller_);
-  static std::string describe(const std::exception_ptr& error);
-
-  void run_lockstep(double t);
-  void run_event_driven(double t);
-
   // --- elastic membership (controller thread, barrier-time only) -----------
   /// A membership change with at_time <= `t` is still waiting to apply.
   bool membership_pending(double t) const;
@@ -399,17 +369,13 @@ class FleetController {
       PFM_REQUIRES(controller_);
   void evaluate_policy(double member_now) PFM_REQUIRES(controller_);
   /// Rebuilds the shard partition over the grown fleet with warm
-  /// per-node handoff (event-driven only; lockstep state is global).
+  /// per-node handoff.
   void reshard(double member_now) PFM_REQUIRES(controller_);
-  /// The authoritative per-node loop state: shard-owned under the
-  /// event-driven scheduler, the controller's bank under lockstep.
+  /// Node `i`'s loop state, in the shard that owns it.
+  const FleetNodeState& node_state(std::size_t i) const;
   FleetNodeState& member_state(std::size_t i) PFM_REQUIRES(controller_);
   /// Last combined score of node `i` (the policy's drain signal).
   double member_score(std::size_t i) const PFM_REQUIRES(controller_);
-  /// Builds the shard controllers (first event-driven run only): the
-  /// layout, per-shard metric handles, and one ShardController per
-  /// block. Idempotent afterwards.
-  void ensure_shards();
 
   /// Arms the quality tracker and flight recorder for a run: builds the
   /// tracker on first use (FleetQualityConfig enabled), re-declares the
@@ -419,7 +385,7 @@ class FleetController {
   void ensure_observers_ready();
   /// Recomputes the scoreboard gauges and the Eq. 8 / Eq. 2 availability
   /// pair (model, measured, drift; per-shard model estimates under a
-  /// multi-shard event-driven fleet) when a run settles.
+  /// multi-shard fleet) when a run settles.
   void refresh_quality_gauges();
 
   std::vector<std::unique_ptr<core::ManagedSystem>> nodes_;
@@ -430,34 +396,13 @@ class FleetController {
   std::vector<core::MeaStats> stats_;     // one per node
   ThreadPool pool_;
 
-  // Round-scratch arena, reused across rounds (and run_until calls) so
-  // the hot loop stays allocation-free after warm-up — on both paths;
-  // only the batch_scratch_ arenas are optimized-path-specific. Worker
-  // lambdas touch disjoint slots only (like stats_/engines_ above), and
-  // sizes change exclusively between parallel sections, so none of this
-  // needs the controller capability.
-  std::vector<std::size_t> active_;           // node index per stepped node
-  std::vector<double> pre_step_time_;         // now() before Monitor
-  std::vector<std::exception_ptr> round_errors_;
-  std::vector<pred::SymptomContext> contexts_;
-  std::vector<std::size_t> context_owner_;    // active-list position
-  std::vector<mon::ErrorSequence> sequences_;
-  std::vector<double> combined_;              // max score per active node
-  std::vector<std::vector<double>> columns_;  // per-predictor score columns
-  std::vector<std::size_t> live_;             // predictors scored this round
-  std::vector<pred::BatchScratch> batch_scratch_;  // one arena per predictor
-  std::size_t scratch_grow_events_ = 0;
-  std::size_t scratch_bytes_seen_ = 0;
-
   // Observability. The handles in inst_ are sharded instruments — safe
-  // to bump from worker lambdas by construction (each thread owns its
-  // shard), so unlike the role-guarded state they need no capability.
-  // The batch-size histogram is sim-clock: batch sizes are pure
-  // functions of sim state and identical on both execution paths. The
-  // gauges (and the scratch gauge in particular) are controller-thread
-  // instruments; the scratch gauge is wall-clock — footprint differs
-  // between paths by design, so it must stay out of the
-  // include_wall=false exports the conformance suite compares.
+  // to bump from worker threads by construction (each thread owns its
+  // shard). The batch-size histogram is sim-clock: batch sizes are pure
+  // functions of sim state. The gauges are controller-thread
+  // instruments; the scratch gauge is wall-clock — arena footprint is
+  // allocator-dependent, so it must stay out of the include_wall=false
+  // exports the conformance suite compares.
   std::unique_ptr<obs::Observability> owned_obs_;  // fallback when none given
   obs::Observability* obs_ = nullptr;              // never null after ctor
   FleetInstruments inst_;
@@ -477,36 +422,27 @@ class FleetController {
   obs::Gauge* model_availability_gauge_ = nullptr;
   obs::Gauge* measured_availability_gauge_ = nullptr;
   obs::Gauge* availability_drift_gauge_ = nullptr;
-  std::vector<double> quality_row_;           // lanes() scores, combined last
-  std::vector<std::ptrdiff_t> ctx_of_active_; // active pos -> context index
-  std::vector<std::uint8_t> scored_;          // predictor produced a column
 
-  // Event-driven path: the shard partition and one controller per
-  // block, built lazily on the first event-driven run. Shards own their
-  // slice's quarantine/breaker/scheduling state; during an epoch each
-  // shard is driven by exactly one pool thread and the epoch barrier
-  // (the pool handshake) publishes everything back to this thread.
+  // The shard partition and one controller per block, built with the
+  // fleet. Shards own their slice's quarantine/breaker/scheduling state;
+  // during an epoch each shard is driven by exactly one thread and the
+  // epoch barrier (the pool handshake) publishes everything back to this
+  // thread. epoch_end_tick_ doubles as the membership clock: before the
+  // k-th epoch it reads k * epoch_ticks intervals.
   core::ShardLayout layout_;
   std::vector<std::unique_ptr<ShardController>> shards_;
   std::uint64_t epoch_end_tick_ = 0;
 
   // Elastic membership. All of it is controller-thread barrier-time
   // state; the hot loops only ever read the departed flag through the
-  // same banks that hold quarantine state. member_active_ gates every
-  // membership code path — inactive configs register nothing and change
-  // nothing, preserving byte-identity with membership-free builds.
+  // shards' node states. member_active_ gates every membership code
+  // path — inactive configs register nothing and change nothing,
+  // preserving byte-identity with membership-free builds.
   bool member_active_ = false;
   std::vector<membership::MemberChange> member_timeline_;
   std::size_t next_member_change_ = 0;
-  /// Membership clock of the lockstep loop: rounds started, including
-  /// idle rounds spent waiting for a future join. The event-driven loop
-  /// uses epoch_end_tick_ instead; both clocks read k ticks before the
-  /// k-th round/epoch, so the two schedulers agree on churn timing when
-  /// epoch_ticks == 1.
-  std::uint64_t member_ticks_ = 0;
   std::size_t live_nodes_ = 0;
   std::vector<std::size_t> incarnations_;  // per slot, +1 per restart
-  std::vector<double> last_combined_;      // lockstep drain/mass signal
   bool layout_dirty_ = false;              // joins/restarts await reshard
   std::size_t policy_cooldown_left_ = 0;
   std::size_t policy_joins_ = 0;
@@ -522,9 +458,8 @@ class FleetController {
   obs::Counter* member_handoffs_total_ = nullptr;
   obs::Counter* member_scale_ups_total_ = nullptr;
   obs::Counter* member_drains_total_ = nullptr;
-  /// Per-shard membership attribution (multi-shard event-driven only),
-  /// pinned to sum to the fleet totals like the pfm_shard_* throughput
-  /// counters.
+  /// Per-shard membership attribution (multi-shard fleets only), pinned
+  /// to sum to the fleet totals like the pfm_shard_* throughput counters.
   struct ShardMemberCounters {
     obs::Counter* joined = nullptr;
     obs::Counter* left = nullptr;
@@ -532,15 +467,12 @@ class FleetController {
   };
   std::vector<ShardMemberCounters> shard_member_counters_;
 
-  // Controller-thread-only state. Worker lambdas operate on disjoint
-  // per-node/per-predictor slots of the vectors above; everything below
-  // is read and mutated exclusively between parallel sections, which
-  // the `controller_` role capability makes machine-checkable under
-  // Clang (-Wthread-safety): touching it from a worker lambda — which
-  // never holds a RoleGuard — breaks the build.
+  // The controller role: membership barriers mutate shard-owned state
+  // and the fleet layout, which is only legal between parallel sections.
+  // Functions that do so require the capability, which only the
+  // controller thread acquires (RoleGuard) — so calling them from a
+  // worker lambda breaks the Clang -Wthread-safety build.
   ThreadRole controller_;
-  std::vector<FleetNodeState> node_state_ PFM_GUARDED_BY(controller_);
-  std::vector<PredictorBreaker> breakers_ PFM_GUARDED_BY(controller_);
 };
 
 }  // namespace pfm::runtime

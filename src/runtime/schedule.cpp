@@ -43,8 +43,7 @@ bool CalendarQueue::pop_due(std::uint64_t end_tick, std::uint64_t& tick,
       due.swap(bucket);
       bucket.clear();
       // Buckets collect items from several source ticks in processing
-      // order; ascending node order keeps per-tick iteration aligned
-      // with the lockstep loop's conventions.
+      // order; ascending node order makes batch composition canonical.
       std::sort(due.begin(), due.end());
       scheduled_ -= due.size();
       tick = cursor_++;

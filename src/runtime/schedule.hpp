@@ -1,6 +1,6 @@
 #pragma once
 
-// Event-driven MEA scheduling (DESIGN.md §10). The calendar queue is the
+// Event-driven MEA scheduling (DESIGN.md §9). The calendar queue is the
 // deterministic event core of the sharded fleet runtime: nodes are keyed
 // by integral sim-ticks (one tick = one evaluation interval of calendar
 // time), each shard drains its own single-threaded calendar, and the
@@ -18,8 +18,7 @@ namespace pfm::runtime {
 
 /// Adaptive sampling policy of the event-driven scheduler. With
 /// `adaptive` false the calendar degenerates to the dense schedule —
-/// every node due every tick — which is the lockstep-equivalent mode the
-/// conformance suite pins byte-identical to the flat loop.
+/// every node due every tick — the mode of the lockstep preset.
 struct SchedulePolicy {
   bool adaptive = false;
   /// Largest number of ticks a quiet node may sleep between visits.

@@ -37,6 +37,15 @@ std::string stall_reason(std::size_t streak) {
          " rounds";
 }
 
+// Fail-fast mode (resilience off): a stage's lowest-index fault aborts
+// the run once every index of the stage has run.
+// pfm-cold
+void rethrow_first(const std::vector<std::exception_ptr>& errors) {
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
 }  // namespace
 
 ShardController::ShardController(ShardEnv env, std::size_t shard_index,
@@ -65,10 +74,7 @@ void ShardController::resize_predictors(std::size_t num_predictors) {
   breakers_.resize(num_predictors);
   columns_.resize(num_predictors);
   batch_scratch_.resize(num_predictors);
-  const pred::BatchKernel kernel = env_.config->path == FleetPath::kSimd
-                                       ? pred::BatchKernel::kSimd
-                                       : pred::BatchKernel::kScalar;
-  for (auto& scratch : batch_scratch_) scratch.kernel = kernel;
+  for (auto& scratch : batch_scratch_) scratch.kernel = env_.config->kernel;
 }
 
 void ShardController::set_quality(obs::QualityTracker* quality,
@@ -147,6 +153,15 @@ void ShardController::run_epoch(std::uint64_t end_tick, double t) {
   while (calendar_.pop_due(end_tick, tick, due_)) process_tick(tick, t);
 }
 
+void ShardController::run_captured(
+    std::size_t n, const std::function<void(std::size_t)>& fn) {
+  if (env_.pool != nullptr) {
+    env_.pool->parallel_for_captured(n, fn, errors_);
+  } else {
+    for_each_captured(n, fn, errors_);
+  }
+}
+
 // pfm-cold
 void ShardController::quarantine_local(std::size_t local,
                                        const std::string& reason) {
@@ -187,11 +202,9 @@ bool ShardController::node_is_hot(std::size_t local, double combined_score) {
 // pfm-hot
 void ShardController::process_tick(std::uint64_t tick, double t) {
   const FleetConfig& config = *env_.config;
-  const double interval = config.mea.evaluation_interval;
   const double threshold = config.mea.warning_threshold;
   const ResilienceConfig& res = config.resilience;
   const bool hardened = res.enabled;
-  const bool optimized = config.path != FleetPath::kReference;
   auto& nodes = *env_.nodes;
   const auto& symptom = *env_.symptom;
   const auto& event = *env_.event;
@@ -218,8 +231,8 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
     shard_node_steps_total_->inc(active_.size());
   }
   // Stage spans of one shard tick share the shard-local round ordinal as
-  // their `sub` (== the global rounds counter for a 1-shard fleet on a
-  // fresh hub, preserving lockstep byte-identity).
+  // their `sub`, keeping them unique (and grouped) in the deterministic
+  // sort.
   const std::uint32_t round = ++local_rounds_;
 
   // --- Monitor: advance every due node by its pending gap. -----------------
@@ -234,28 +247,19 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
     obs::ScopedSpan monitor_span(tracer_, obs::SpanKind::kMonitorStage,
                                  stage_track_, round_begin, round,
                                  static_cast<std::int64_t>(active_.size()));
-    if (hardened) errors_.assign(active_.size(), std::exception_ptr{});
-    for (std::size_t a = 0; a < active_.size(); ++a) {
+    run_captured(active_.size(), [this, t](std::size_t a) {
       const std::size_t local = active_[a];
       const std::size_t i = base_ + local;
-      auto& node = *nodes[i];
+      auto& node = *(*env_.nodes)[i];
       const double target =
-          std::min(node.now() + sched_[local].pending_gap * interval, t);
+          std::min(node.now() + sched_[local].pending_gap *
+                                    env_.config->mea.evaluation_interval,
+                   t);
       obs::ScopedSpan span(tracer_, obs::SpanKind::kNodeStep,
                            obs::node_track(i), pre_step_time_[a]);
-      if (hardened) {
-        try {
-          node.step_to(target);
-        } catch (...) {  // pfm-lint: allow(concurrency) — shard-local
-                         // capture; processed right below, mirroring the
-                         // lockstep loop's parallel_for_captured
-          errors_[a] = std::current_exception();
-        }
-      } else {
-        node.step_to(target);
-      }
+      node.step_to(target);
       span.set_sim_end(node.now());
-    }
+    });
     if (hardened) {
       for (std::size_t a = 0; a < active_.size(); ++a) {
         const std::size_t local = active_[a];
@@ -277,12 +281,15 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
           node_state_[local].stall_streak = 0;
         }
       }
+      // Nodes quarantined this tick drop out of Evaluate/Act.
       const auto& node_state = node_state_;
       active_.erase(std::remove_if(active_.begin(), active_.end(),
                                    [&](std::size_t local) {
                                      return node_state[local].quarantined;
                                    }),
                     active_.end());
+    } else {
+      rethrow_first(errors_);
     }
     double round_end = round_begin;
     for (const std::size_t local : active_) {
@@ -306,6 +313,9 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
 
   // --- Evaluate: batch-score this tick's due set. ---------------------------
   const auto evaluate_start = WallClock::now();
+  // Scoring and acting happen "at" the tick's post-Monitor instant; a
+  // deterministic reduction over node clocks, so span timestamps stay
+  // thread-count invariant.
   double eval_time = nodes[base_ + active_[0]]->now();
   for (const std::size_t local : active_) {
     eval_time = std::max(eval_time, nodes[base_ + local]->now());
@@ -353,76 +363,46 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
       live_.push_back(p);
     }
 
-    if (hardened) errors_.assign(live_.size(), std::exception_ptr{});
-    for (std::size_t lp = 0; lp < live_.size(); ++lp) {
+    run_captured(live_.size(), [this, eval_time](std::size_t lp) {
       const std::size_t p = live_[lp];
+      const auto& symptom_predictors = *env_.symptom;
       auto& column = columns_[p];
       obs::ScopedSpan span(tracer_, obs::SpanKind::kScoreBatch,
                            obs::predictor_track(p), eval_time);
-      auto score_one = [&] {
-        if (p < symptom.size()) {
-          column.resize(contexts_.size());
-          if (optimized) {
-            symptom[p]->score_batch(contexts_, column, batch_scratch_[p]);
-          } else {
-            symptom[p]->score_batch(contexts_, column);
-          }
-        } else {
-          column.resize(sequences_.size());
-          const auto& ep = *event[p - symptom.size()];
-          if (optimized) {
-            ep.score_batch(sequences_, column, batch_scratch_[p]);
-          } else {
-            ep.score_batch(sequences_, column);
-          }
-        }
-        span.set_arg(static_cast<std::int64_t>(column.size()));
-      };
-      if (hardened) {
-        try {
-          score_one();
-        } catch (...) {  // pfm-lint: allow(concurrency) — shard-local
-                         // capture feeding the per-predictor breaker,
-                         // mirroring the lockstep loop
-          errors_[lp] = std::current_exception();
-        }
+      if (p < symptom_predictors.size()) {
+        column.resize(contexts_.size());
+        symptom_predictors[p]->score_batch(contexts_, column,
+                                           batch_scratch_[p]);
       } else {
-        score_one();
+        column.resize(sequences_.size());
+        (*env_.event)[p - symptom_predictors.size()]->score_batch(
+            sequences_, column, batch_scratch_[p]);
       }
-    }
+      span.set_arg(static_cast<std::int64_t>(column.size()));
+    });
+    if (!hardened) rethrow_first(errors_);
 
     // Per-predictor outcome: a throw or any non-finite score is a faulty
     // tick feeding this shard's breaker; a clean tick closes/heals it.
     combined_.assign(active_.size(), 0.0);
     for (std::size_t lp = 0; lp < live_.size(); ++lp) {
       const std::size_t p = live_[lp];
-      const bool threw = hardened && errors_[lp] != nullptr;
+      const bool threw = errors_[lp] != nullptr;
       bool faulty = threw;
       if (!threw) {
         const auto& column = columns_[p];
         const std::size_t n = column.size();
         inst.scores_total->inc(n);
-        if (p < symptom.size()) {
-          for (std::size_t c = 0; c < n; ++c) {
-            const double v = column[c];
-            if (hardened && !std::isfinite(v)) {
-              inst.scores_sanitized_total->inc();
-              faulty = true;
-              continue;
-            }
-            combined_[context_owner_[c]] =
-                std::max(combined_[context_owner_[c]], v);
+        const bool by_context = p < symptom.size();
+        for (std::size_t c = 0; c < n; ++c) {
+          const double v = column[c];
+          if (hardened && !std::isfinite(v)) {
+            inst.scores_sanitized_total->inc();
+            faulty = true;
+            continue;
           }
-        } else {
-          for (std::size_t a = 0; a < n; ++a) {
-            const double v = column[a];
-            if (hardened && !std::isfinite(v)) {
-              inst.scores_sanitized_total->inc();
-              faulty = true;
-              continue;
-            }
-            combined_[a] = std::max(combined_[a], v);
-          }
+          double& slot = combined_[by_context ? context_owner_[c] : c];
+          slot = std::max(slot, v);
         }
       }
       if (!hardened) continue;
@@ -433,17 +413,16 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
         if (breaker.open) {
           // Half-open probe failed: back to a full cooldown.
           breaker.open_rounds_left = res.breaker_open_rounds;
-          inst.breaker_trips_total->inc();
-          obs::record_instant(tracer_, obs::SpanKind::kBreakerTrip,
-                              obs::predictor_track(p), eval_time, round);
           tripped = true;
         } else if (++breaker.failure_streak >= res.breaker_trip_failures) {
           breaker.open = true;
           breaker.open_rounds_left = res.breaker_open_rounds;
+          tripped = true;
+        }
+        if (tripped) {
           inst.breaker_trips_total->inc();
           obs::record_instant(tracer_, obs::SpanKind::kBreakerTrip,
                               obs::predictor_track(p), eval_time, round);
-          tripped = true;
         }
         if (tripped && flight_ != nullptr) {
           // A trip is an incident: the shard's lane ring (ending in the
@@ -483,12 +462,12 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
     }
     // Quality: record this tick's evaluation instants (per-predictor
     // lanes NaN when the predictor sat out; the combined lane carries
-    // the thresholded max-reduce). Mirrors the lockstep loop exactly.
+    // the thresholded max-reduce).
     if (quality_ != nullptr) {
       const double nan = std::numeric_limits<double>::quiet_NaN();
       scored_.assign(num_predictors, 0);
       for (std::size_t lp = 0; lp < live_.size(); ++lp) {
-        if (!hardened || errors_[lp] == nullptr) scored_[live_[lp]] = 1;
+        if (errors_[lp] == nullptr) scored_[live_[lp]] = 1;
       }
       ctx_of_active_.assign(active_.size(), -1);
       for (std::size_t c = 0; c < context_owner_.size(); ++c) {
@@ -515,15 +494,13 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
     }
   }  // evaluate_span
   inst.evaluate_latency->observe(seconds_since(evaluate_start));
-  if (optimized) {
-    // Footprint accounting mirrors the lockstep loop; the owning
-    // controller reads the per-shard totals after the run (the scratch
-    // gauge is a controller-thread instrument).
-    const std::size_t bytes = scratch_capacity_bytes();
-    if (bytes > scratch_bytes_seen_) {
-      ++scratch_grow_events_;
-      scratch_bytes_seen_ = bytes;
-    }
+  // Footprint accounting; the owning controller reads the per-shard
+  // totals after the run (the scratch gauge is a controller-thread
+  // instrument).
+  const std::size_t bytes = scratch_capacity_bytes();
+  if (bytes > scratch_bytes_seen_) {
+    ++scratch_grow_events_;
+    scratch_bytes_seen_ = bytes;
   }
 
   // --- Act: warned nodes run their own countermeasure engines. --------------
@@ -550,30 +527,19 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
       }
     }
     act_span.set_arg(warned);
-    if (hardened) errors_.assign(active_.size(), std::exception_ptr{});
-    for (std::size_t a = 0; a < active_.size(); ++a) {
-      if (combined_[a] < threshold) continue;
+    run_captured(active_.size(), [this](std::size_t a) {
+      if (combined_[a] < env_.config->mea.warning_threshold) return;
       const std::size_t i = base_ + active_[a];
-      ++(*env_.stats)[i].warnings;
-      auto& engine = (*env_.engines)[i];
-      if (hardened) {
-        try {
-          engine.act(*nodes[i], combined_[a], config.mea, (*env_.stats)[i]);
-        } catch (...) {  // pfm-lint: allow(concurrency) — shard-local
-                         // capture; quarantined right below like the
-                         // lockstep loop's Act stage
-          errors_[a] = std::current_exception();
-        }
-      } else {
-        engine.act(*nodes[i], combined_[a], config.mea, (*env_.stats)[i]);
-      }
-    }
-    if (hardened) {
-      for (std::size_t a = 0; a < active_.size(); ++a) {
-        if (!errors_[a]) continue;
-        inst.node_faults_total->inc();
-        quarantine_local(active_[a], describe(errors_[a]));
-      }
+      auto& stats = (*env_.stats)[i];
+      ++stats.warnings;
+      (*env_.engines)[i].act(*(*env_.nodes)[i], combined_[a],
+                             env_.config->mea, stats);
+    });
+    if (!hardened) rethrow_first(errors_);
+    for (std::size_t a = 0; a < active_.size(); ++a) {
+      if (!errors_[a]) continue;
+      inst.node_faults_total->inc();
+      quarantine_local(active_[a], describe(errors_[a]));
     }
   }
   inst.act_latency->observe(seconds_since(act_start));

@@ -1,18 +1,21 @@
 #pragma once
 
-// Per-shard hierarchical controller of the event-driven fleet runtime
-// (DESIGN.md §10). A ShardController owns one contiguous block of the
-// fleet and everything stateful about running it: the block's calendar
-// queue and adaptive sampling state, its quarantine records, its own
-// bank of predictor circuit breakers, and its own BatchScratch arenas.
-// During an epoch a shard is driven by exactly one pool thread and
-// touches only shard-local state plus sharded metric instruments (and
-// the shared read-only predictors), so shards compose without locks:
-// the cross-shard epoch barrier — the pool handshake in
-// FleetController::run_event_driven — is the only synchronization.
+// Per-shard controller of the fleet runtime (DESIGN.md §9): the one
+// implementation of the hardened Monitor-Evaluate-Act round. A
+// ShardController owns one contiguous block of the fleet and everything
+// stateful about running it: the block's calendar queue and sampling
+// state, its quarantine records, its own bank of predictor circuit
+// breakers, and its own BatchScratch arenas. During an epoch a shard is
+// driven by exactly one thread and touches only shard-local state plus
+// sharded metric instruments (and the shared read-only predictors), so
+// shards compose without locks: the cross-shard epoch barrier in
+// FleetController::run_until is the only synchronization. A lone shard
+// fans its per-node and per-predictor loops out over the fleet's pool;
+// inside a multi-shard fleet they run inline.
 
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,6 +40,10 @@ struct ShardEnv {
       nullptr;
   obs::Observability* obs = nullptr;
   FleetInstruments inst;
+  /// The fleet's pool, set for a one-shard fleet: the shard then runs its
+  /// Monitor, per-predictor Evaluate and Act loops on it. Null: the loops
+  /// run inline on the thread driving the shard.
+  ThreadPool* pool = nullptr;
 };
 
 /// Per-node adaptive sampling state. Public (namespace scope) because it
@@ -63,11 +70,10 @@ struct NodeHandoff {
   NodeSchedule sched;
 };
 
-/// One shard of the event-driven fleet: a strictly sequential
-/// Monitor-Evaluate-Act engine over the due-set of each calendar tick.
-/// Dense schedule + one shard + epoch_ticks 1 reproduces the lockstep
-/// loop's sim-time exports byte-for-byte (conformance-pinned); adaptive
-/// schedules visit each node per its own sampling gap.
+/// One shard of the fleet: a Monitor-Evaluate-Act engine over the due set
+/// of each calendar tick. A dense schedule steps every node each tick
+/// (the lockstep preset is one such shard); adaptive schedules visit each
+/// node per its own sampling gap.
 class ShardController {
  public:
   /// `base`/`count` delimit the shard's block of global node indices;
@@ -78,8 +84,7 @@ class ShardController {
                   std::size_t count, std::uint32_t stage_track);
 
   /// Optional per-shard throughput counters (registered by the owning
-  /// controller only when the fleet has more than one shard, so the
-  /// single-shard metric set stays identical to lockstep's).
+  /// controller only when the fleet has more than one shard).
   void set_shard_metrics(obs::Counter* ticks, obs::Counter* node_steps);
 
   /// Sizes the per-predictor state (breakers, score columns, arenas);
@@ -104,9 +109,9 @@ class ShardController {
   bool idle() const noexcept { return calendar_.empty(); }
 
   /// Drains every calendar tick before `end_tick` (the epoch barrier),
-  /// stepping due nodes toward sim-time `t`. Runs on a pool thread; with
-  /// resilience enabled component faults are absorbed shard-locally,
-  /// otherwise the first fault propagates (fail-fast).
+  /// stepping due nodes toward sim-time `t`. With resilience enabled
+  /// component faults are absorbed shard-locally, otherwise the
+  /// lowest-index fault of a stage propagates (fail-fast).
   void run_epoch(std::uint64_t end_tick, double t);
 
   std::size_t shard_index() const noexcept { return shard_index_; }
@@ -156,6 +161,9 @@ class ShardController {
 
  private:
   void process_tick(std::uint64_t tick, double t);
+  /// Runs fn(0) ... fn(n-1) — on the pool when the shard has one, inline
+  /// otherwise — capturing each index's exception into errors_[index].
+  void run_captured(std::size_t n, const std::function<void(std::size_t)>& fn);
   void quarantine_local(std::size_t local, const std::string& reason);
   /// Adaptive hot test of one surviving node: score near the warning
   /// threshold, an urgent SchedulingHint, or a symptom delta (new error
@@ -179,13 +187,10 @@ class ShardController {
   std::vector<FleetNodeState> node_state_;
   std::vector<PredictorBreaker> breakers_;
   /// Shard-local round ordinal: the `sub` of this shard's stage spans.
-  /// Matches the global rounds counter for a single-shard fleet on a
-  /// fresh hub — part of the lockstep byte-identity contract.
   std::uint32_t local_rounds_ = 0;
 
   // Tick-scratch, reused across ticks so the hot loop stays
-  // allocation-free after warm-up (the shard-local mirror of the
-  // lockstep controller's round scratch).
+  // allocation-free after warm-up. Pooled loops write disjoint slots.
   std::vector<std::uint32_t> due_;
   std::vector<std::size_t> active_;           // local index per due node
   std::vector<double> pre_step_time_;

@@ -6,16 +6,34 @@
 
 namespace pfm::runtime {
 
-ThreadPool::ThreadPool(std::size_t num_threads, ThreadPoolOptions options)
-    : options_(options) {
+namespace {
+
+// Busy-wait budget (loop iterations) before a worker goes to sleep, and
+// before the caller blocks on batch completion.
+constexpr std::size_t kSpinIterations = 4096;
+
+}  // namespace
+
+void for_each_captured(std::size_t n,
+                       const std::function<void(std::size_t)>& fn,
+                       std::vector<std::exception_ptr>& errors) {
+  errors.assign(n, nullptr);
+  for (std::size_t i = 0; i < n; ++i) {
+    try {
+      fn(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  }
+}
+
+ThreadPool::ThreadPool(std::size_t num_threads) {
   const std::size_t extra = num_threads > 1 ? num_threads - 1 : 0;
   const std::size_t hw = std::thread::hardware_concurrency();
   effective_threads_ =
       std::min(extra + 1, hw > 0 ? hw : std::size_t{1});
-  if (options_.persistent) {
-    shard_next_ = std::make_unique<std::atomic<std::size_t>[]>(extra + 1);
-    shard_end_.assign(extra + 1, 0);
-  }
+  shard_next_ = std::make_unique<std::atomic<std::size_t>[]>(extra + 1);
+  shard_end_.assign(extra + 1, 0);
   workers_.reserve(extra);
   for (std::size_t i = 0; i < extra; ++i) {
     // Worker i claims obs shard i+1 for its whole lifetime (the caller
@@ -23,11 +41,7 @@ ThreadPool::ThreadPool(std::size_t num_threads, ThreadPoolOptions options)
     // by construction.
     workers_.emplace_back([this, i] {
       obs::set_thread_shard(i + 1);
-      if (options_.persistent) {
-        persistent_worker_loop(i + 1);
-      } else {
-        worker_loop();
-      }
+      run_worker(i + 1);
     });
   }
 }
@@ -39,19 +53,6 @@ ThreadPool::~ThreadPool() {
   }
   work_cv_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-// pfm-hot
-void ThreadPool::run_indices() {
-  for (;;) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n_) return;
-    try {
-      (*fn_)(i);
-    } catch (...) {
-      (*errors_)[i] = std::current_exception();  // slot i is this task's own
-    }
-  }
 }
 
 // pfm-hot
@@ -72,25 +73,7 @@ void ThreadPool::run_shards(std::size_t first_shard) {
   }
 }
 
-void ThreadPool::worker_loop() {
-  std::uint64_t seen_generation = 0;
-  for (;;) {
-    {
-      MutexLock lock(mu_);
-      while (!stop_ && generation_ == seen_generation) lock.wait(work_cv_);
-      if (stop_) return;
-      seen_generation = generation_;
-    }
-    run_indices();
-    {
-      MutexLock lock(mu_);
-      --workers_pending_;
-      if (workers_pending_ == 0) done_cv_.notify_all();
-    }
-  }
-}
-
-void ThreadPool::persistent_worker_loop(std::size_t shard) {
+void ThreadPool::run_worker(std::size_t shard) {
   std::uint64_t seen = 0;
   for (;;) {
     // Between back-to-back batches the generation bump usually lands
@@ -99,7 +82,7 @@ void ThreadPool::persistent_worker_loop(std::size_t shard) {
     // variable and costs nothing.
     std::uint64_t gen = batch_gen_.load(std::memory_order_acquire);
     for (std::size_t spin = 0;
-         gen == seen && spin < options_.spin_iterations; ++spin) {
+         gen == seen && spin < kSpinIterations; ++spin) {
       gen = batch_gen_.load(std::memory_order_acquire);
     }
     if (gen == seen) {
@@ -127,7 +110,6 @@ void ThreadPool::publish_and_run(std::size_t n,
                                  std::vector<std::exception_ptr>& errors) {
   const std::size_t shards = workers_.size() + 1;
   fn_ = &fn;
-  n_ = n;
   errors_ = &errors;
   for (std::size_t s = 0; s < shards; ++s) {
     shard_next_[s].store(n * s / shards, std::memory_order_relaxed);
@@ -144,7 +126,7 @@ void ThreadPool::publish_and_run(std::size_t n,
   run_shards(0);  // the caller drains shard 0, then steals
   for (std::size_t spin = 0;
        batch_pending_.load(std::memory_order_acquire) != 0 &&
-       spin < options_.spin_iterations;
+       spin < kSpinIterations;
        ++spin) {
   }
   if (batch_pending_.load(std::memory_order_acquire) != 0) {
@@ -160,42 +142,16 @@ void ThreadPool::publish_and_run(std::size_t n,
 void ThreadPool::parallel_for_captured(
     std::size_t n, const std::function<void(std::size_t)>& fn,
     std::vector<std::exception_ptr>& errors) {
-  errors.assign(n, nullptr);
-  if (n == 0) return;
   // Inline when distribution cannot help: no workers, a single index, or
-  // (persistent mode) fewer hardware threads than it takes to overlap
-  // anything — waking workers that time-slice with the caller only adds
-  // handshake churn. Which thread runs an index never affects results.
-  if (workers_.empty() || n == 1 ||
-      (options_.persistent && effective_threads_ <= 1)) {
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
+  // fewer hardware threads than it takes to overlap anything — waking
+  // workers that time-slice with the caller only adds handshake churn.
+  // Which thread runs an index never affects results.
+  if (workers_.empty() || n <= 1 || effective_threads_ <= 1) {
+    for_each_captured(n, fn, errors);
     return;
   }
-  if (options_.persistent) {
-    publish_and_run(n, fn, errors);
-    return;
-  }
-  {
-    MutexLock lock(mu_);
-    fn_ = &fn;
-    n_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    errors_ = &errors;
-    workers_pending_ = workers_.size();
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  run_indices();  // the caller is a pool thread too
-  MutexLock lock(mu_);
-  while (workers_pending_ != 0) lock.wait(done_cv_);
-  fn_ = nullptr;
-  errors_ = nullptr;
+  errors.assign(n, nullptr);
+  publish_and_run(n, fn, errors);
 }
 
 void ThreadPool::parallel_for(std::size_t n,

@@ -13,32 +13,25 @@
 
 namespace pfm::runtime {
 
-/// Scheduling mode of the pool. Scheduling never influences results —
-/// outputs land in disjoint slots and per-task randomness lives inside
-/// the task — so the mode is purely a wall-time trade-off, and the fleet
-/// conformance suite pins both modes to byte-identical exports.
-struct ThreadPoolOptions {
-  /// Persistent-worker fast path: batches are published through an atomic
-  /// generation counter (a release-store the workers acquire-spin on for
-  /// a bounded number of iterations before parking on the condition
-  /// variable), indices are pre-partitioned into per-shard queues that
-  /// each thread drains before stealing from its neighbours, and
-  /// dispatch falls back to an inline loop whenever waking workers
-  /// cannot help (single-index batches, or fewer hardware threads than
-  /// pool threads leaving no real parallelism to exploit). false keeps
-  /// the original fork/join monitor handshake — the reference path.
-  bool persistent = false;
-  /// Busy-wait budget (loop iterations) before a persistent worker goes
-  /// to sleep, and before the caller blocks on batch completion.
-  std::size_t spin_iterations = 4096;
-};
+/// Runs fn(0) ... fn(n-1) inline on the calling thread with the error
+/// contract of ThreadPool::parallel_for_captured: `errors` is resized to n
+/// and errors[i] receives the exception fn(i) threw (null when it
+/// succeeded); every index runs.
+void for_each_captured(std::size_t n,
+                       const std::function<void(std::size_t)>& fn,
+                       std::vector<std::exception_ptr>& errors);
 
 /// Fixed-size thread pool for data-parallel index loops. Deliberately
-/// minimal — no task futures, no dynamic sizing: the fleet controller's
-/// stages are homogeneous index ranges, so claiming indices off shared
-/// cursors balances load well enough and keeps the scheduling
-/// deterministic in everything that matters (which thread runs an index
-/// never influences results; outputs go to disjoint slots).
+/// minimal — no task futures, no dynamic sizing: the fleet's stages are
+/// homogeneous index ranges. Workers are persistent: a batch is published
+/// through an atomic generation counter (a release-store the workers
+/// acquire-spin on for a bounded number of iterations before parking on
+/// a condition variable), its indices are pre-partitioned into one queue
+/// per thread, and each thread drains its own queue before stealing from
+/// its neighbours. Dispatch falls back to an inline loop whenever waking
+/// workers cannot help (single-index batches, or fewer hardware threads
+/// than it takes to overlap anything). Which thread runs an index never
+/// influences results; outputs go to disjoint slots.
 ///
 /// The constructing thread participates in every parallel_for, so
 /// ThreadPool(1) spawns no workers at all and runs loops inline.
@@ -46,7 +39,7 @@ class ThreadPool {
  public:
   /// `num_threads` counts the caller: the pool spawns num_threads - 1
   /// workers. 0 is treated as 1.
-  explicit ThreadPool(std::size_t num_threads, ThreadPoolOptions options = {});
+  explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -72,18 +65,10 @@ class ThreadPool {
                              std::vector<std::exception_ptr>& errors);
 
  private:
-  void worker_loop();
-  void persistent_worker_loop(std::size_t shard);
-  // Drains indices of the current batch off the shared cursor. Reads the
-  // batch descriptor (fn_/n_/errors_) without holding mu_: the descriptor
-  // is published under mu_ before generation_ is bumped, workers observe
-  // the bump under mu_ before calling this, and the caller only resets
-  // the descriptor after workers_pending_ drained back to zero under
-  // mu_ — the classic monitor handshake the analysis cannot see through.
-  void run_indices() PFM_NO_THREAD_SAFETY_ANALYSIS;
-  // Persistent-mode equivalents: the descriptor and the per-shard
-  // cursors are published *before* the release-store on batch_gen_, and
-  // every worker access happens after the matching acquire-load, so the
+  void run_worker(std::size_t shard);
+  // The batch descriptor (fn_/errors_) and the per-shard cursors are
+  // published *before* the release-store on batch_gen_, and every worker
+  // access happens after the matching acquire-load, so the
   // happens-before edge the mu_ annotation documents is carried by the
   // generation counter instead of the lock.
   void publish_and_run(std::size_t n, const std::function<void(std::size_t)>& fn,
@@ -94,7 +79,6 @@ class ThreadPool {
   void run_shards(std::size_t first_shard) PFM_NO_THREAD_SAFETY_ANALYSIS;
 
   std::vector<std::thread> workers_;
-  ThreadPoolOptions options_;
   // Hardware parallelism actually available to this process; dispatching
   // to more runnable threads than cores only adds wake/sleep churn.
   std::size_t effective_threads_ = 1;
@@ -102,24 +86,20 @@ class ThreadPool {
   Mutex mu_;
   std::condition_variable work_cv_;  // signals workers: new batch / stop
   std::condition_variable done_cv_;  // signals caller: workers drained
-  std::uint64_t generation_ PFM_GUARDED_BY(mu_) = 0;  // batch counter
-  std::size_t workers_pending_ PFM_GUARDED_BY(mu_) = 0;
   bool stop_ PFM_GUARDED_BY(mu_) = false;
 
-  // Current batch, written by parallel_for_captured before workers are
-  // woken. Exceptions land in (*errors_)[i] — disjoint slots, no lock.
-  // Guarded by mu_ for every access except the functions annotated
-  // above (see their comments for the replacement happens-before edge).
+  // Current batch, written by publish_and_run before workers are woken.
+  // Exceptions land in (*errors_)[i] — disjoint slots, no lock. Guarded
+  // by mu_ for every access except the functions annotated above (see
+  // their comment for the replacement happens-before edge).
   const std::function<void(std::size_t)>* fn_ PFM_GUARDED_BY(mu_) = nullptr;
-  std::size_t n_ PFM_GUARDED_BY(mu_) = 0;
-  std::atomic<std::size_t> next_{0};
   std::vector<std::exception_ptr>* errors_ PFM_GUARDED_BY(mu_) = nullptr;
   std::vector<std::exception_ptr> scratch_errors_;  // parallel_for's buffer
 
-  // Persistent-mode batch barrier: generation counter (release on
-  // publish, acquire on consume), outstanding-worker count, and the
-  // per-shard index queues ([cursor, end) per shard; stealing walks the
-  // other shards' cursors, so every index still runs exactly once).
+  // Batch barrier: generation counter (release on publish, acquire on
+  // consume), outstanding-worker count, and the per-shard index queues
+  // ([cursor, end) per shard; stealing walks the other shards' cursors,
+  // so every index still runs exactly once).
   std::atomic<std::uint64_t> batch_gen_{0};
   std::atomic<std::size_t> batch_pending_{0};
   std::unique_ptr<std::atomic<std::size_t>[]> shard_next_;

@@ -2,7 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
+
+#include "prediction/baselines.hpp"
+#include "prediction/frozen.hpp"
+#include "prediction/hsmm.hpp"
+#include "prediction/ubf.hpp"
+#include "telecom/simulator.hpp"
 
 namespace pfm::pred {
 namespace {
@@ -83,6 +94,102 @@ TEST(CalibratedEventPredictor, WrapsScore) {
   EXPECT_GT(cal.score(seq), 0.5);
   EXPECT_LE(cal.score(seq), 1.0);
   EXPECT_EQ(cal.name(), "fixed-event+cal");
+}
+
+// --- arena batch forwarding ---------------------------------------------------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// A threshold inside the score range, so calibration maps scores on
+/// both sides of it.
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+/// The calibrated wrappers score a batch through the wrapped predictor's
+/// arena path, then calibrate each score. On the scalar kernel that must
+/// equal per-context calibrated score() bit for bit — for the live UBF
+/// (SoA sweep), its frozen artifact, the trend baseline (regression
+/// scratch) and the HSMM (the base class's score() loop).
+TEST(CalibratedPredictors, ArenaBatchMatchesCalibratedScoreBitForBit) {
+  const WindowGeometry g{600.0, 300.0, 300.0};
+  telecom::SimConfig sim_cfg;
+  sim_cfg.seed = 5;
+  sim_cfg.duration = 3.0 * 86400.0;
+  telecom::ScpSimulator sim(sim_cfg);
+  sim.run();
+  const auto trace = sim.take_trace();
+
+  UbfConfig ubf_cfg;
+  ubf_cfg.windows = g;
+  ubf_cfg.num_kernels = 4;
+  ubf_cfg.selection = VariableSelection::kForward;
+  ubf_cfg.shape_evaluations = 80;
+  ubf_cfg.max_train_windows = 900;
+  auto ubf = std::make_shared<UbfPredictor>(ubf_cfg);
+  ubf->train(trace);
+  const std::string path = ::testing::TempDir() + "/calibrated_ubf.pfmfrozen";
+  ASSERT_EQ(freeze(ubf->export_model(), path), FrozenError::kOk);
+  auto loaded = FrozenPredictor::load(path);
+  ASSERT_EQ(loaded.error, FrozenError::kOk) << to_string(loaded.error);
+  std::shared_ptr<const SymptomPredictor> frozen = std::move(loaded.predictor);
+  auto trend = std::make_shared<TrendPredictor>(g);
+  trend->train(trace);
+  const auto failing = trace.failure_sequences(g.data_window, g.lead_time);
+  const auto quiet = trace.nonfailure_sequences(g.data_window, g.lead_time,
+                                                g.prediction_window, 300.0);
+  HsmmPredictorConfig hsmm_cfg;
+  hsmm_cfg.windows = g;
+  hsmm_cfg.num_states = 4;
+  hsmm_cfg.em_iterations = 10;
+  auto hsmm = std::make_shared<HsmmPredictor>(hsmm_cfg);
+  hsmm->train(failing, quiet);
+
+  const auto samples = trace.samples();
+  std::vector<SymptomContext> contexts;
+  for (std::size_t start = 0; start + 20 <= samples.size(); start += 97) {
+    SymptomContext ctx;
+    ctx.history = samples.subspan(start, 20);
+    ctx.past_failures = trace.failures();
+    contexts.push_back(ctx);
+  }
+  ASSERT_GE(contexts.size(), 32u);
+
+  const std::pair<const char*, std::shared_ptr<const SymptomPredictor>>
+      symptom[] = {{"ubf", ubf}, {"frozen", frozen}, {"trend", trend}};
+  for (const auto& [label, inner] : symptom) {
+    SCOPED_TRACE(label);
+    std::vector<double> raw(contexts.size());
+    for (std::size_t i = 0; i < contexts.size(); ++i) {
+      raw[i] = inner->score(contexts[i]);
+    }
+    const CalibratedSymptomPredictor cal(inner, median(raw));
+    BatchScratch scratch;  // kScalar
+    std::vector<double> batch(contexts.size());
+    cal.score_batch(contexts, batch, scratch);
+    EXPECT_GT(scratch.capacity_bytes(), 0u)
+        << "the wrapped predictor's arena path was bypassed";
+    for (std::size_t i = 0; i < contexts.size(); ++i) {
+      EXPECT_EQ(bits(batch[i]), bits(cal.score(contexts[i]))) << "context " << i;
+    }
+  }
+
+  std::vector<mon::ErrorSequence> sequences = failing;
+  sequences.insert(sequences.end(), quiet.begin(), quiet.end());
+  ASSERT_FALSE(sequences.empty());
+  std::vector<double> raw(sequences.size());
+  for (std::size_t i = 0; i < sequences.size(); ++i) {
+    raw[i] = hsmm->score(sequences[i]);
+  }
+  const CalibratedEventPredictor cal(hsmm, median(raw));
+  BatchScratch scratch;
+  std::vector<double> batch(sequences.size());
+  cal.score_batch(sequences, batch, scratch);
+  for (std::size_t i = 0; i < sequences.size(); ++i) {
+    EXPECT_EQ(bits(batch[i]), bits(cal.score(sequences[i])))
+        << "sequence " << i;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// Conformance suite of the fleet hot path: FleetPath::kOptimized
-// (persistent pool workers + arena-backed SoA scoring + cached kernel
-// constants) must be *bit-identical* to FleetPath::kReference in every
-// observable — predictor scores, telemetry, per-node MEA statistics and
-// every sim-time export — at 1, 2 and 8 threads, on a healthy fleet and
-// under a hostile fault plan. The optimized path is allowed to differ in
-// wall time only.
+// Conformance suite of the fleet hot path: the arena-backed batch
+// scorers (SoA UBF sweep, scratch-backed regression, sorted-id
+// membership) must reproduce score() bit for bit, and a fleet run must
+// be *bit-identical* in every observable — telemetry, per-node MEA
+// statistics and every sim-time export — at 2 and 8 threads to the
+// 1-thread run, on a healthy fleet and under a hostile fault plan. The
+// absolute values are pinned by test_fleet_golden.cpp.
 
 #include <gtest/gtest.h>
 
@@ -85,9 +85,9 @@ const Ensemble& ensemble() {
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-/// The 3-arg arena overloads (SoA UBF sweep, scratch-backed regression,
-/// sorted-id membership) must reproduce the 2-arg reference overloads bit
-/// for bit — same rounding, same FP contraction, same accumulation order.
+/// The arena overloads (SoA UBF sweep, scratch-backed regression,
+/// sorted-id membership) must reproduce score() bit for bit — same
+/// rounding, same FP contraction, same accumulation order.
 TEST(FleetConformance, ArenaScoreBatchesAreBitIdenticalToReference) {
   const auto& e = ensemble();
   const auto samples = e.train_trace.samples();
@@ -109,7 +109,9 @@ TEST(FleetConformance, ArenaScoreBatchesAreBitIdenticalToReference) {
   std::vector<double> reference(contexts.size());
   std::vector<double> optimized(contexts.size());
   for (const auto* p : {e.ubf.get(), e.trend.get()}) {
-    p->score_batch(contexts, reference);
+    for (std::size_t i = 0; i < contexts.size(); ++i) {
+      reference[i] = p->score(contexts[i]);
+    }
     p->score_batch(contexts, optimized, scratch);
     for (std::size_t i = 0; i < contexts.size(); ++i) {
       EXPECT_EQ(bits(reference[i]), bits(optimized[i]))
@@ -129,7 +131,9 @@ TEST(FleetConformance, ArenaScoreBatchesAreBitIdenticalToReference) {
   ASSERT_FALSE(sequences.empty());
   std::vector<double> seq_ref(sequences.size());
   std::vector<double> seq_opt(sequences.size());
-  e.eventset->score_batch(sequences, seq_ref);
+  for (std::size_t i = 0; i < sequences.size(); ++i) {
+    seq_ref[i] = e.eventset->score(sequences[i]);
+  }
   e.eventset->score_batch(sequences, seq_opt, scratch);
   for (std::size_t i = 0; i < sequences.size(); ++i) {
     EXPECT_EQ(bits(seq_ref[i]), bits(seq_opt[i])) << "sequence " << i;
@@ -174,8 +178,7 @@ inj::FaultPlan hostile_plan() {
   return plan;
 }
 
-Artifacts run_fleet(std::size_t threads, runtime::FleetPath path,
-                    bool hostile) {
+Artifacts run_fleet(std::size_t threads, bool hostile) {
   obs::ObservabilityConfig ocfg;
   ocfg.shards = threads;
   ocfg.trace_capacity = 1 << 15;
@@ -193,7 +196,6 @@ Artifacts run_fleet(std::size_t threads, runtime::FleetPath path,
   cfg.mea.retry.max_attempts = 3;
   cfg.mea.retry.backoff_initial = 120.0;
   cfg.num_threads = threads;
-  cfg.path = path;
   cfg.obs = &hub;
 
   const auto& e = ensemble();
@@ -274,8 +276,7 @@ void expect_identical(const Artifacts& a, const Artifacts& b) {
 }
 
 void run_matrix(bool hostile) {
-  const auto canonical =
-      run_fleet(1, runtime::FleetPath::kReference, hostile);
+  const auto canonical = run_fleet(1, hostile);
   ASSERT_EQ(canonical.dropped, 0u);
   EXPECT_GT(canonical.rounds, 0u);
   EXPECT_GT(canonical.warnings, 0u) << "scenario too tame to exercise Act";
@@ -283,27 +284,20 @@ void run_matrix(bool hostile) {
     EXPECT_GT(canonical.quarantined, 0u) << "plan injected no node faults";
   }
 
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                              std::size_t{8}}) {
-    for (auto path : {runtime::FleetPath::kReference,
-                      runtime::FleetPath::kOptimized}) {
-      if (threads == 1 && path == runtime::FleetPath::kReference) continue;
-      SCOPED_TRACE(std::string(hostile ? "hostile" : "clean") + " threads=" +
-                   std::to_string(threads) + " path=" +
-                   (path == runtime::FleetPath::kOptimized ? "optimized"
-                                                           : "reference"));
-      const auto run = run_fleet(threads, path, hostile);
-      ASSERT_EQ(run.dropped, 0u);
-      expect_identical(canonical, run);
-    }
+  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE(std::string(hostile ? "hostile" : "clean") +
+                 " threads=" + std::to_string(threads));
+    const auto run = run_fleet(threads, hostile);
+    ASSERT_EQ(run.dropped, 0u);
+    expect_identical(canonical, run);
   }
 }
 
-TEST(FleetConformance, CleanFleetIsBitIdenticalAcrossPathsAndThreadCounts) {
+TEST(FleetConformance, CleanFleetIsBitIdenticalAcrossThreadCounts) {
   run_matrix(/*hostile=*/false);
 }
 
-TEST(FleetConformance, HostileFleetIsBitIdenticalAcrossPathsAndThreadCounts) {
+TEST(FleetConformance, HostileFleetIsBitIdenticalAcrossThreadCounts) {
   run_matrix(/*hostile=*/true);
 }
 

@@ -1,5 +1,5 @@
 // Conformance and determinism suite of the sharded event-driven fleet
-// runtime (DESIGN.md §10):
+// runtime (DESIGN.md §9):
 //  - core::ShardLayout partitions and (shard, local) addressing;
 //  - keyed injection decision streams are invariant under re-batching;
 //  - dense schedule + one shard + epoch_ticks 1 reproduces the lockstep

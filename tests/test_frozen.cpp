@@ -1,4 +1,4 @@
-// Frozen compiled-predictor artifact suite (DESIGN.md §13): the
+// Frozen compiled-predictor artifact suite (DESIGN.md §11): the
 // train -> freeze -> serve round trip must be bit-identical on the score
 // grid, corrupt artifacts must fail with typed errors (never UB — this
 // suite is in the sanitizer label set), and a frozen fleet must export
@@ -360,7 +360,7 @@ struct Artifacts {
 };
 
 Artifacts run_fleet(std::shared_ptr<const pred::SymptomPredictor> predictor,
-                    runtime::FleetPath path) {
+                    pred::BatchKernel kernel) {
   obs::ObservabilityConfig ocfg;
   ocfg.shards = 2;
   obs::Observability hub(ocfg);
@@ -375,7 +375,7 @@ Artifacts run_fleet(std::shared_ptr<const pred::SymptomPredictor> predictor,
   cfg.mea.warning_threshold = 0.6;
   cfg.mea.action_cooldown = 600.0;
   cfg.num_threads = 2;
-  cfg.path = path;
+  cfg.kernel = kernel;
   cfg.obs = &hub;
 
   runtime::FleetController fleet(runtime::make_scp_fleet(sim, 4), cfg);
@@ -416,11 +416,10 @@ TEST(Frozen, TrainFreezeServeFleetExportsAreByteIdentical) {
   std::shared_ptr<const pred::SymptomPredictor> frozen =
       std::move(loaded.predictor);
 
-  for (auto path : {runtime::FleetPath::kOptimized,
-                    runtime::FleetPath::kSimd}) {
-    SCOPED_TRACE(path == runtime::FleetPath::kSimd ? "simd" : "optimized");
-    const auto live = run_fleet(ubf, path);
-    const auto served = run_fleet(frozen, path);
+  for (auto kernel : {pred::BatchKernel::kScalar, pred::BatchKernel::kSimd}) {
+    SCOPED_TRACE(kernel == pred::BatchKernel::kSimd ? "simd" : "scalar");
+    const auto live = run_fleet(ubf, kernel);
+    const auto served = run_fleet(frozen, kernel);
     EXPECT_EQ(live.prometheus, served.prometheus);
     EXPECT_EQ(live.json_line, served.json_line);
   }

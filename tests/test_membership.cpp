@@ -1,4 +1,4 @@
-// Elastic fleet membership (DESIGN.md §11):
+// Elastic fleet membership (DESIGN.md §9):
 //  - MembershipPlan builders, burst expansion and validation;
 //  - derive_member_seed stream discipline;
 //  - inactive configs are byte-identical to a membership-free build;
@@ -10,6 +10,7 @@
 //  - lockstep and event-driven schedulers agree under churn (dense,
 //    one shard, epoch_ticks 1);
 //  - per-shard membership counters sum to the fleet totals;
+//  - injected-fault counts of restarted incarnations survive them;
 //  - the prediction-driven scaling loop: preventive scale-up and
 //    drain-and-failover, with cooldown and join caps;
 //  - config and mid-run target validation.
@@ -459,6 +460,73 @@ TEST(Membership, SurvivorsMatchUninterruptedReferenceBitForBit) {
   // its uninterrupted twin.
   EXPECT_LT(run.node_evals[3], base.node_evals[3]);
   EXPECT_LT(run.node_evals[4], base.node_evals[4]);
+}
+
+// --- injected-fault accounting across restarts -------------------------------
+
+/// A rolling restart destroys every restarted incarnation's node and
+/// action wrappers. The injector's stats() must still count what they
+/// injected, matching the registry's cause-side counters kind for kind.
+TEST(Membership, InjectorStatsSurviveRollingRestarts) {
+  obs::ObservabilityConfig ocfg;
+  ocfg.shards = 2;
+  obs::Observability hub(ocfg);
+
+  telecom::SimConfig sim;
+  sim.seed = 21;
+  sim.duration = kDuration;
+  sim.leak_mtbf = 21600.0;
+
+  inj::FaultInjector injector(hostile_plan());
+  injector.set_observability(&hub);
+
+  runtime::FleetConfig cfg;
+  cfg.mea.windows = geometry();
+  cfg.mea.warning_threshold = 0.6;
+  cfg.mea.action_cooldown = 600.0;
+  cfg.num_threads = 2;
+  cfg.obs = &hub;
+  cfg.membership.plan.seed = 11;
+  cfg.membership.plan.rolling_restart(7000.0, 0, 6, 600.0);
+  cfg.membership.factory = [&injector, sim](const membership::JoinContext& ctx)
+      -> std::unique_ptr<core::ManagedSystem> {
+    telecom::SimConfig fresh = sim;
+    fresh.seed = ctx.seed;
+    return injector.wrap_node(
+        ctx.node, std::make_unique<runtime::ScpManagedSystem>(fresh));
+  };
+
+  const auto& e = ensemble();
+  runtime::FleetController fleet(
+      injector.wrap_fleet(runtime::make_scp_fleet(sim, 6)), cfg);
+  fleet.add_symptom_predictor(injector.wrap_symptom_predictor(0, e.trend));
+  fleet.add_event_predictor(injector.wrap_event_predictor(0, e.eventset));
+  fleet.add_action(injector.wrap_action_factory(0, [] {
+    return std::make_unique<act::StateCleanupAction>(0.70);
+  }));
+  fleet.run();
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(fleet.node_incarnation(i), 1u) << "node " << i;
+  }
+
+  const auto& counters = hub.metrics().counters();
+  auto registry = [&counters](const char* kind) -> std::size_t {
+    const auto it = counters.find(
+        std::string("pfm_injected_faults_total{kind=\"") + kind + "\"}");
+    return it == counters.end() ? 0 : it->second->value();
+  };
+  const inj::InjectionStats stats = injector.stats();
+  EXPECT_EQ(stats.node_crashes, registry("node_crash"));
+  EXPECT_EQ(stats.node_hangs, registry("node_hang"));
+  EXPECT_EQ(stats.samples_dropped, registry("sample_drop"));
+  EXPECT_EQ(stats.samples_corrupted, registry("sample_corrupt"));
+  EXPECT_EQ(stats.predictor_throws, registry("predictor_throw"));
+  EXPECT_EQ(stats.predictor_nans, registry("predictor_nan"));
+  EXPECT_EQ(stats.action_failures, registry("action_failure"));
+  EXPECT_GT(stats.node_crashes, 0u);
+  EXPECT_GT(stats.samples_dropped, 0u);
+  EXPECT_GT(stats.predictor_nans, 0u);
+  EXPECT_GT(stats.action_failures, 0u);
 }
 
 // --- per-shard counter identity ----------------------------------------------

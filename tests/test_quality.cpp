@@ -1,4 +1,4 @@
-// Online prediction-quality tracking (DESIGN.md §12): the streaming
+// Online prediction-quality tracking (DESIGN.md §10): the streaming
 // tracker must reproduce the offline evaluation pipeline exactly — same
 // Sect. 3.3 matching rule, same contingency counts — while staying
 // bit-identical across thread counts, shard-count invariant on a clean

@@ -1,4 +1,4 @@
-// Flight recorder (DESIGN.md §12): the per-scope ring must keep exactly
+// Flight recorder (DESIGN.md §10): the per-scope ring must keep exactly
 // the newest `capacity` events and count the rest as dropped, dumps must
 // render a hand-checkable golden JSON-line post-mortem, a hostile fault
 // plan must leave a quarantine post-mortem on the crashed node, and the

@@ -47,8 +47,10 @@ class ScriptedPredictor final : public pred::SymptomPredictor {
   double score(const pred::SymptomContext&) const override {
     return calls_ <= faulty_calls_ ? bad_ : good_;
   }
+  using pred::SymptomPredictor::score_batch;
   void score_batch(std::span<const pred::SymptomContext> contexts,
-                   std::span<double> out) const override {
+                   std::span<double> out,
+                   pred::BatchScratch&) const override {
     ++calls_;
     const double v = calls_ <= faulty_calls_ ? bad_ : good_;
     for (std::size_t i = 0; i < contexts.size(); ++i) out[i] = v;

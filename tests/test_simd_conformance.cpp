@@ -1,5 +1,5 @@
 // Differential conformance suite of the SIMD scoring layer (DESIGN.md
-// §13). Three rings, progressively wider:
+// §11). Three rings, progressively wider:
 //
 //  1. num::simd primitives: the dispatched backend must be bit-identical
 //     to the portable reference lanes on every input (including the
@@ -8,10 +8,10 @@
 //  2. The Eq. 1 kernel sweep: sweep_simd vs sweep_scalar within the
 //     documented ULP envelope, batch-composition invariant, and
 //     threshold-decision identical on the conformance corpus.
-//  3. Full-fleet replays: FleetPath::kSimd exports byte-identical to
-//     kOptimized across threads {1,2,8} and shards {1,4,16}, clean and
-//     under a hostile fault plan — the same artifact set the PR-5
-//     conformance reference pins.
+//  3. Full-fleet replays: BatchKernel::kSimd exports byte-identical to
+//     kScalar across threads {1,2,8} and shards {1,4,16}, clean and
+//     under a hostile fault plan — the same artifact set the fleet
+//     conformance suite pins.
 
 #include <gtest/gtest.h>
 
@@ -62,7 +62,7 @@ std::uint64_t ulp_diff(double a, double b) {
                   : static_cast<std::uint64_t>(ib - ia);
 }
 
-/// The final-score agreement policy (DESIGN.md §13): tight in ULP for
+/// The final-score agreement policy (DESIGN.md §11): tight in ULP for
 /// well-conditioned scores, with an absolute escape hatch where kernel
 /// cancellation makes relative error meaningless.
 void expect_score_close(double simd_score, double scalar_score,
@@ -498,7 +498,7 @@ struct Artifacts {
 struct RunSpec {
   std::size_t nodes = 6;
   std::size_t threads = 1;
-  runtime::FleetPath path = runtime::FleetPath::kOptimized;
+  pred::BatchKernel kernel = pred::BatchKernel::kScalar;
   runtime::FleetScheduler scheduler = runtime::FleetScheduler::kLockstep;
   std::size_t num_shards = 1;
   std::size_t epoch_ticks = 1;
@@ -533,7 +533,7 @@ Artifacts run_fleet(const RunSpec& spec) {
   cfg.mea.warning_threshold = 0.6;
   cfg.mea.action_cooldown = 600.0;
   cfg.num_threads = spec.threads;
-  cfg.path = spec.path;
+  cfg.kernel = spec.kernel;
   cfg.scheduler = spec.scheduler;
   cfg.num_shards = spec.num_shards;
   cfg.epoch_ticks = spec.epoch_ticks;
@@ -579,7 +579,7 @@ void expect_identical(const Artifacts& a, const Artifacts& b) {
   EXPECT_EQ(a.json_line, b.json_line);
 }
 
-/// kSimd vs kOptimized across thread counts: every sim-time export byte
+/// kSimd vs kScalar across thread counts: every sim-time export byte
 /// for byte. ULP-level score differences are allowed by the policy but
 /// must never surface in a threshold decision on this corpus.
 void run_thread_matrix(bool hostile) {
@@ -595,7 +595,7 @@ void run_thread_matrix(bool hostile) {
                  " simd threads=" + std::to_string(threads));
     RunSpec spec = base;
     spec.threads = threads;
-    spec.path = runtime::FleetPath::kSimd;
+    spec.kernel = pred::BatchKernel::kSimd;
     const auto run = run_fleet(spec);
     ASSERT_EQ(run.dropped, 0u);
     expect_identical(canonical, run);
@@ -611,7 +611,7 @@ TEST(SimdFleet, HostileExportsByteIdenticalAcrossThreadCounts) {
 }
 
 /// The sharded event-driven replays: per shard count, kSimd must match
-/// kOptimized exactly (results legitimately depend on the shard count —
+/// kScalar exactly (results legitimately depend on the shard count —
 /// shards batch and breaker-bank independently — so each count is its
 /// own reference).
 TEST(SimdFleet, ShardedExportsByteIdenticalPerShardCount) {
@@ -627,7 +627,7 @@ TEST(SimdFleet, ShardedExportsByteIdenticalPerShardCount) {
     ASSERT_EQ(canonical.dropped, 0u);
 
     RunSpec spec = reference;
-    spec.path = runtime::FleetPath::kSimd;
+    spec.kernel = pred::BatchKernel::kSimd;
     spec.threads = 2;
     const auto run = run_fleet(spec);
     ASSERT_EQ(run.dropped, 0u);

@@ -21,12 +21,8 @@ refresh.
 
 Gates (each exits non-zero on violation):
   - the observability overhead arm must stay within the 5% budget;
-  - the optimized fleet path must not run >10% slower than the
-    reference path, and its reference/optimized speedup must not
-    regress >10% against the committed BENCH_fleet.json (the ratio is
-    machine-relative, so the gate is portable across hosts);
   - the sharded event-driven scheduler (8 shards, 8 threads) must beat
-    the 8-thread lockstep baseline of the shard-scaling arm by >=1.5x
+    the 8-thread lockstep preset of the shard-scaling arm by >=1.5x
     wall time over the same fleet and sim horizon;
   - the vectorized Eq. 1 kernel sweep must beat the scalar reference
     sweep by >=2x on the same pre-gathered columns whenever a vector
@@ -75,10 +71,6 @@ CHURN_OVERHEAD_BUDGET = 0.05
 # Acceptance budget for the fleet_quality_overhead arm: the online
 # scoreboard + flight recorder against the quality-free default.
 QUALITY_OVERHEAD_BUDGET = 0.05
-
-# The optimized path may lose at most this fraction against the
-# reference path, and against its own committed speedup.
-PATH_REGRESSION_BUDGET = 0.10
 
 # The event-driven sharded scheduler (8 shards, 8 threads) must cover the
 # same fleet and sim horizon in at most 1/1.5 the lockstep wall time.
@@ -183,46 +175,6 @@ def check_quality_overhead(records: list) -> None:
             "bench_fleet_quality emitted no fleet_quality_overhead row")
 
 
-def path_speedup(records: list):
-    """reference/optimized wall-time ratio of the fleet_path arm, or None."""
-    walls = {}
-    for record in records:
-        if record.get("bench") != "fleet_path":
-            continue
-        wall = record.get("wall_seconds", 0.0)
-        if wall > 0.0:
-            walls[record.get("path")] = wall
-    if "reference" in walls and "optimized" in walls:
-        return walls["reference"] / walls["optimized"]
-    return None
-
-
-def check_path_regression(records: list, baseline_records: list) -> None:
-    speedup = path_speedup(records)
-    if speedup is None:
-        raise SystemExit(
-            "bench_fleet_throughput emitted no complete fleet_path arm "
-            "(need one reference and one optimized row)")
-    print(f"fleet path speedup (reference/optimized): {speedup:.3f}x")
-    if speedup < 1.0 - PATH_REGRESSION_BUDGET:
-        raise SystemExit(
-            f"optimized fleet path is {(1.0 - speedup) * 100.0:.1f}% slower "
-            f"than the reference path (budget "
-            f"{PATH_REGRESSION_BUDGET * 100.0:.0f}%)")
-    baseline = path_speedup(baseline_records)
-    if baseline is None:
-        print("no fleet_path arm in the committed baseline — skipping the "
-              "speedup-regression comparison")
-        return
-    floor = baseline * (1.0 - PATH_REGRESSION_BUDGET)
-    print(f"committed baseline speedup: {baseline:.3f}x (floor {floor:.3f}x)")
-    if speedup < floor:
-        raise SystemExit(
-            f"fleet path speedup regressed: {speedup:.3f}x < {floor:.3f}x "
-            f"(committed {baseline:.3f}x minus the "
-            f"{PATH_REGRESSION_BUDGET * 100.0:.0f}% budget)")
-
-
 def shard_speedup(records: list):
     """8-shard/8-thread event wall vs the 8-thread lockstep wall of the
     shard-scaling arm, or None if either row is missing. Rows must agree
@@ -308,16 +260,6 @@ def check_frozen_serving(records: list) -> None:
             "bench_fleet_throughput emitted no frozen_serving row")
 
 
-def load_baseline(path: pathlib.Path) -> list:
-    if not path.exists():
-        return []
-    try:
-        records = json.loads(path.read_text())
-    except json.JSONDecodeError:
-        return []
-    return records if isinstance(records, list) else []
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build-dir", default="build",
@@ -326,10 +268,6 @@ def main() -> None:
                         help="where the BENCH_*.json files go")
     parser.add_argument("--quick", action="store_true",
                         help="pass --quick to quick-aware benches (CI trim)")
-    parser.add_argument("--baseline", default=None,
-                        help="committed BENCH_fleet.json to gate the fleet "
-                             "path speedup against (default: the one in "
-                             "--out-dir)")
     args = parser.parse_args()
 
     bench_dir = pathlib.Path(args.build_dir) / "bench"
@@ -359,9 +297,6 @@ def main() -> None:
     check_frozen_serving(fleet_records)
     check_churn_overhead(fleet_records)
     check_quality_overhead(fleet_records)
-    baseline_path = (pathlib.Path(args.baseline) if args.baseline
-                     else out_dir / "BENCH_fleet.json")
-    check_path_regression(fleet_records, load_baseline(baseline_path))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for out_name, records in collected.items():

@@ -40,7 +40,7 @@ namespace {
 //             itself, unlike fault plans which wrap it from outside, and
 //             ctmc is allowed since PR 9: the fleet feeds its live
 //             windowed prediction quality into the Eq. 8 availability
-//             model (the self-assessment loop of DESIGN.md §12);
+//             model (the self-assessment loop of DESIGN.md §10);
 //   obs       sits just above numerics: instrumented layers (core,
 //             injection, runtime) may include it, but it must never
 //             reach back into what it observes — an obs -> telecom (or

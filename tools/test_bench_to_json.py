@@ -7,9 +7,6 @@ The interesting properties:
   - scraping tolerates garbage and keeps valid records;
   - a missing binary or a bench with no JSON rows exits non-zero
     *before* any BENCH_*.json is written (no partial refresh);
-  - the fleet-path regression gate fires on a >10% loss against the
-    reference path or against the committed baseline, and skips
-    cleanly when the baseline predates the fleet_path arm;
   - the shard-scaling gate fires when the 8-shard/8-thread event-driven
     run is not >=1.5x faster than the 8-thread lockstep baseline, and
     refuses to compare rows from different fleet sizes;
@@ -41,15 +38,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 import bench_to_json  # noqa: E402
 
 
-def path_rows(ref_wall, opt_wall):
-    return [
-        {"bench": "fleet_path", "path": "reference", "threads": 8,
-         "wall_seconds": ref_wall},
-        {"bench": "fleet_path", "path": "optimized", "threads": 8,
-         "wall_seconds": opt_wall},
-    ]
-
-
 def shard_rows(lockstep_wall, event_wall, nodes=512, event_nodes=None):
     return [
         {"bench": "fleet_shard_scaling", "mode": "lockstep", "nodes": nodes,
@@ -67,46 +55,13 @@ class ScrapeTest(unittest.TestCase):
             '{"bench":"fleet_throughput","threads":1,"wall_seconds":1.0}',
             '{"bench":"broken", unparsable}',
             "  threads  wall [s]",
-            '  {"bench":"fleet_path","path":"optimized","wall_seconds":0.5}',
+            '  {"bench":"fleet_throughput","threads":8,"wall_seconds":0.5}',
             '{"not_a_bench":"x"}',
         ])
         records = bench_to_json.scrape_json_lines(text)
         self.assertEqual(len(records), 2)
         self.assertEqual(records[0]["bench"], "fleet_throughput")
-        self.assertEqual(records[1]["path"], "optimized")
-
-
-class PathGateTest(unittest.TestCase):
-    def test_speedup_is_reference_over_optimized(self):
-        self.assertAlmostEqual(
-            bench_to_json.path_speedup(path_rows(1.5, 1.0)), 1.5)
-
-    def test_incomplete_arm_yields_none_and_fails_the_gate(self):
-        rows = path_rows(1.5, 1.0)[:1]
-        self.assertIsNone(bench_to_json.path_speedup(rows))
-        with self.assertRaises(SystemExit):
-            bench_to_json.check_path_regression(rows, [])
-
-    def test_optimized_much_slower_than_reference_fails(self):
-        with self.assertRaises(SystemExit):
-            bench_to_json.check_path_regression(path_rows(1.0, 1.2), [])
-
-    def test_regression_against_committed_baseline_fails(self):
-        fresh = path_rows(1.05, 1.0)      # 1.05x now
-        baseline = path_rows(1.5, 1.0)    # 1.50x committed; floor 1.35x
-        with self.assertRaises(SystemExit):
-            bench_to_json.check_path_regression(fresh, baseline)
-
-    def test_within_budget_passes(self):
-        fresh = path_rows(1.40, 1.0)
-        baseline = path_rows(1.5, 1.0)
-        bench_to_json.check_path_regression(fresh, baseline)
-
-    def test_baseline_without_path_arm_skips_the_comparison(self):
-        fresh = path_rows(1.1, 1.0)
-        baseline = [{"bench": "fleet_throughput", "threads": 8,
-                     "wall_seconds": 1.0}]
-        bench_to_json.check_path_regression(fresh, baseline)
+        self.assertEqual(records[1]["threads"], 8)
 
 
 class ShardGateTest(unittest.TestCase):
@@ -289,10 +244,6 @@ class MainAtomicityTest(unittest.TestCase):
         return [
             json.dumps({"bench": "fleet_throughput", "threads": 8,
                         "wall_seconds": 1.0}),
-            json.dumps({"bench": "fleet_path", "path": "reference",
-                        "wall_seconds": 1.2}),
-            json.dumps({"bench": "fleet_path", "path": "optimized",
-                        "wall_seconds": 1.0}),
             *(json.dumps(row) for row in shard_rows(3.0, 1.5)),
             json.dumps(simd_row(2.4)),
             json.dumps(frozen_row(0.98)),
@@ -360,37 +311,16 @@ class MainAtomicityTest(unittest.TestCase):
             fleet = json.loads((out / "BENCH_fleet.json").read_text())
             # All three fleet benches merged into one array, in BENCHES
             # order: throughput rows, then churn, then quality.
-            self.assertEqual(len(fleet), 11)
+            self.assertEqual(len(fleet), 9)
             self.assertEqual(fleet[0]["bench"], "fleet_throughput")
-            self.assertEqual(fleet[5]["bench"], "simd_kernel_sweep")
-            self.assertEqual(fleet[6]["bench"], "frozen_serving")
-            self.assertEqual(fleet[7]["bench"], "fleet_churn")
-            self.assertEqual(fleet[8]["bench"], "fleet_churn_overhead")
-            self.assertEqual(fleet[9]["bench"], "fleet_quality")
-            self.assertEqual(fleet[10]["bench"], "fleet_quality_overhead")
+            self.assertEqual(fleet[3]["bench"], "simd_kernel_sweep")
+            self.assertEqual(fleet[4]["bench"], "frozen_serving")
+            self.assertEqual(fleet[5]["bench"], "fleet_churn")
+            self.assertEqual(fleet[6]["bench"], "fleet_churn_overhead")
+            self.assertEqual(fleet[7]["bench"], "fleet_quality")
+            self.assertEqual(fleet[8]["bench"], "fleet_quality_overhead")
             injection = json.loads((out / "BENCH_injection.json").read_text())
             self.assertEqual(injection[0]["bench"], "injection")
-
-    def test_explicit_baseline_gates_the_refresh(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = pathlib.Path(tmp)
-            bench_dir = tmp / "build" / "bench"
-            bench_dir.mkdir(parents=True)
-            self.fake_bench(bench_dir, "bench_fleet_throughput",
-                            self.good_fleet_lines())  # 1.2x speedup
-            self.fake_bench(bench_dir, "bench_fleet_churn",
-                            self.good_churn_lines())
-            self.fake_bench(bench_dir, "bench_fleet_quality",
-                            self.good_quality_lines())
-            self.fake_bench(bench_dir, "bench_fault_injection",
-                            [json.dumps({"bench": "injection"})])
-            committed = tmp / "BENCH_fleet.json"
-            committed.write_text(json.dumps(path_rows(2.0, 1.0)))  # 2.0x
-            out = tmp / "out"
-            with self.assertRaises(SystemExit):
-                self.run_main(tmp / "build", out,
-                              extra=("--baseline", str(committed)))
-            self.assertFalse(out.exists())
 
 
 if __name__ == "__main__":
