@@ -56,7 +56,8 @@ struct RocPoint {
 /// ROC curve over all distinct score thresholds, ordered by increasing
 /// false positive rate (threshold decreasing). Includes the trivial
 /// (0,0) and (1,1) endpoints. Throws std::invalid_argument on mismatch,
-/// empty input, or single-class labels.
+/// empty input, a NaN score, or single-class labels (+-inf scores are
+/// fine).
 std::vector<RocPoint> roc_curve(std::span<const double> scores,
                                 std::span<const int> labels);
 
@@ -85,7 +86,9 @@ double average_precision(std::span<const double> scores,
 /// Convenience: AUC straight from scores and labels.
 double auc(std::span<const double> scores, std::span<const int> labels);
 
-/// Threshold maximizing the F-measure, with the achieved table.
+/// Threshold maximizing the F-measure, with the achieved table: the
+/// lowest distinct score among those reaching the maximum. Accepts
+/// single-class labels; otherwise the same input contract as roc_curve.
 struct ThresholdChoice {
   double threshold = 0.0;
   ContingencyTable table;

@@ -113,20 +113,6 @@ double ThresholdPredictor::score(const SymptomContext& context) const {
   return num::sigmoid(direction_ * (v - mean_) / stddev_);
 }
 
-void ThresholdPredictor::score_batch(std::span<const SymptomContext> contexts,
-                                     std::span<double> out,
-                                     BatchScratch& /*scratch*/) const {
-  if (contexts.size() != out.size()) throw_contexts_size_mismatch();
-  if (!trained_) throw std::logic_error("ThresholdPredictor: not trained");
-  for (std::size_t i = 0; i < contexts.size(); ++i) {
-    if (contexts[i].history.empty()) {
-      throw std::invalid_argument("ThresholdPredictor: empty context");
-    }
-    const double v = contexts[i].history.back().values.at(variable_);
-    out[i] = num::sigmoid(direction_ * (v - mean_) / stddev_);
-  }
-}
-
 // --- TrendPredictor ----------------------------------------------------------
 
 TrendPredictor::TrendPredictor(WindowGeometry windows) : windows_(windows) {
@@ -277,32 +263,6 @@ double FailureTrackingPredictor::score(const SymptomContext& context) const {
   return 1.0 - s1 / s0;
 }
 
-void FailureTrackingPredictor::score_batch(
-    std::span<const SymptomContext> contexts, std::span<double> out,
-    BatchScratch& /*scratch*/) const {
-  if (contexts.size() != out.size()) throw_contexts_size_mismatch();
-  if (!trained_) {
-    throw std::logic_error("FailureTrackingPredictor: not trained");
-  }
-  for (std::size_t i = 0; i < contexts.size(); ++i) {
-    const auto& ctx = contexts[i];
-    const double now = ctx.now();
-    double since = now;
-    if (!ctx.past_failures.empty()) since = now - ctx.past_failures.back();
-    const double horizon_start = since + windows_.lead_time;
-    const double horizon_end = horizon_start + windows_.prediction_window;
-    double s0, s1;
-    if (use_weibull_) {
-      s0 = weibull_.survival(horizon_start);
-      s1 = weibull_.survival(horizon_end);
-    } else {
-      s0 = exponential_.survival(horizon_start);
-      s1 = exponential_.survival(horizon_end);
-    }
-    out[i] = s0 <= 0.0 ? 1.0 : 1.0 - s1 / s0;
-  }
-}
-
 // --- DftPredictor -------------------------------------------------------------
 
 DftPredictor::DftPredictor() = default;
@@ -360,18 +320,6 @@ double DftPredictor::score(const mon::ErrorSequence& seq) const {
   const double density =
       std::min(static_cast<double>(ev.size()) / (rate_threshold_ * 4.0), 0.19);
   return static_cast<double>(fired) / 4.0 * 0.8 + density;
-}
-
-void DftPredictor::score_batch(std::span<const mon::ErrorSequence> sequences,
-                               std::span<double> out,
-                               BatchScratch& /*scratch*/) const {
-  if (sequences.size() != out.size()) throw_sequences_size_mismatch();
-  if (!trained_) throw std::logic_error("DftPredictor: not trained");
-  // score() is allocation-free; the batch path only saves the per-item
-  // virtual dispatch (DftPredictor is final, so these calls are direct).
-  for (std::size_t i = 0; i < sequences.size(); ++i) {
-    out[i] = score(sequences[i]);
-  }
 }
 
 // --- EventsetPredictor ----------------------------------------------------------

@@ -20,10 +20,6 @@ class ThresholdPredictor final : public SymptomPredictor {
   std::string name() const override { return "Threshold"; }
   void train(const mon::MonitoringDataset& data) override;
   double score(const SymptomContext& context) const override;
-  using SymptomPredictor::score_batch;
-  void score_batch(std::span<const SymptomContext> contexts,
-                   std::span<double> out,
-                   BatchScratch& scratch) const override;
 
   /// Index of the chosen variable (valid after training).
   std::size_t variable() const noexcept { return variable_; }
@@ -82,10 +78,6 @@ class FailureTrackingPredictor final : public SymptomPredictor {
   std::string name() const override { return "FailureTracking"; }
   void train(const mon::MonitoringDataset& data) override;
   double score(const SymptomContext& context) const override;
-  using SymptomPredictor::score_batch;
-  void score_batch(std::span<const SymptomContext> contexts,
-                   std::span<double> out,
-                   BatchScratch& scratch) const override;
 
   bool uses_weibull() const noexcept { return use_weibull_; }
 
@@ -110,10 +102,6 @@ class DftPredictor final : public EventPredictor {
   void train(std::span<const mon::ErrorSequence> failure_sequences,
              std::span<const mon::ErrorSequence> nonfailure_sequences) override;
   double score(const mon::ErrorSequence& sequence) const override;
-  using EventPredictor::score_batch;
-  void score_batch(std::span<const mon::ErrorSequence> sequences,
-                   std::span<double> out,
-                   BatchScratch& scratch) const override;
 
  private:
   double rate_threshold_ = 1.0;  // events per window, 95th pct of non-failure

@@ -1,10 +1,29 @@
 #include "prediction/evaluate.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 namespace pfm::pred {
+
+namespace {
+
+/// Sect. 3.3 label of instant t: 1 when a failure strikes inside its
+/// target window [t + lead, t + lead + prediction window), which opens at
+/// t itself when early failures count; nullopt when the window runs past
+/// the end of the trace (not labelable).
+std::optional<int> target_label(const mon::MonitoringDataset& test,
+                                const EvalOptions& options, double t) {
+  const double w_end =
+      t + options.windows.lead_time + options.windows.prediction_window;
+  if (w_end > test.end_time()) return std::nullopt;
+  const double w_begin =
+      options.count_early_failures ? t : t + options.windows.lead_time;
+  return test.failure_within(w_begin, w_end) ? 1 : 0;
+}
+
+}  // namespace
 
 std::vector<ScoredInstant> score_on_grid(const SymptomPredictor& predictor,
                                          const mon::MonitoringDataset& test,
@@ -12,16 +31,12 @@ std::vector<ScoredInstant> score_on_grid(const SymptomPredictor& predictor,
   options.windows.validate();
   const auto samples = test.samples();
   const auto failures = test.failures();
-  const double horizon = test.end_time();
   std::vector<ScoredInstant> out;
   out.reserve(samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const double t = samples[i].time;
-    const double w_begin =
-        options.count_early_failures ? t : t + options.windows.lead_time;
-    const double w_end =
-        t + options.windows.lead_time + options.windows.prediction_window;
-    if (w_end > horizon) break;  // not labelable
+    const auto label = target_label(test, options, t);
+    if (!label) break;
 
     const std::size_t first =
         i + 1 >= options.context_samples ? i + 1 - options.context_samples : 0;
@@ -31,12 +46,7 @@ std::vector<ScoredInstant> score_on_grid(const SymptomPredictor& predictor,
         std::upper_bound(failures.begin(), failures.end(), t);
     ctx.past_failures = failures.first(
         static_cast<std::size_t>(past_end - failures.begin()));
-
-    ScoredInstant si;
-    si.time = t;
-    si.score = predictor.score(ctx);
-    si.label = test.failure_within(w_begin, w_end) ? 1 : 0;
-    out.push_back(si);
+    out.push_back({t, predictor.score(ctx), *label});
   }
   return out;
 }
@@ -48,27 +58,15 @@ std::vector<ScoredInstant> score_on_grid(const EventPredictor& predictor,
   if (options.stride <= 0.0) {
     throw std::invalid_argument("score_on_grid: stride must be positive");
   }
-  const double horizon = test.end_time();
   std::vector<ScoredInstant> out;
-  for (double t = test.start_time() + options.windows.data_window;
-       t + options.windows.lead_time + options.windows.prediction_window <=
-       horizon;
+  for (double t = test.start_time() + options.windows.data_window;;
        t += options.stride) {
+    const auto label = target_label(test, options, t);
+    if (!label) break;
     mon::ErrorSequence seq;
     seq.events = test.events_in(t - options.windows.data_window, t);
     seq.end_time = t;
-
-    ScoredInstant si;
-    si.time = t;
-    si.score = predictor.score(seq);
-    const double w_begin =
-        options.count_early_failures ? t : t + options.windows.lead_time;
-    si.label = test.failure_within(w_begin,
-                                   t + options.windows.lead_time +
-                                       options.windows.prediction_window)
-                   ? 1
-                   : 0;
-    out.push_back(si);
+    out.push_back({t, predictor.score(seq), *label});
   }
   return out;
 }

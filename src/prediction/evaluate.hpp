@@ -64,7 +64,7 @@ std::vector<ScoredInstant> score_on_grid(const EventPredictor& predictor,
 
 /// Computes AUC and the maximum-F-measure operating point from scored
 /// instants. Throws std::invalid_argument when the instants are empty or
-/// single-class.
+/// single-class, or when a score is NaN.
 PredictorReport make_report(std::string name,
                             const std::vector<ScoredInstant>& instants);
 
