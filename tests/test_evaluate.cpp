@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 namespace pfm::pred {
@@ -115,6 +116,8 @@ TEST(Evaluate, ReportFormatsAndValidates) {
   EXPECT_THROW(make_report("empty", {}), std::invalid_argument);
   std::vector<ScoredInstant> single_class{{0.0, 0.9, 1}};
   EXPECT_THROW(make_report("one", single_class), std::invalid_argument);
+  std::vector<ScoredInstant> nan_score{{0.0, 0.9, 1}, {1.0, std::nan(""), 0}};
+  EXPECT_THROW(make_report("nan", nan_score), std::invalid_argument);
 }
 
 TEST(Evaluate, WindowGeometryValidation) {
