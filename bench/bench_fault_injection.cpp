@@ -1,19 +1,16 @@
-// E15 (extension) — fleet availability under injected component faults,
-// with and without the runtime hardening. Sweeps a fault-rate knob that
-// scales a deterministic FaultPlan (dropped samples, NaN/throwing
-// predictors, flaky actions, plus a scripted crash and hang at the higher
-// rates) over an 8-node fleet. The hardened arm quarantines/retries/trips
-// its way to the horizon; the unhardened arm (resilience off, retry set to
-// rethrow) aborts on the first fault — the availability gap between the
-// two arms is the value of the dependability layer. One JSON line per
-// configuration (scrapeable via the {"bench":"fault_injection",...}
+// E15 (extension) — fleet availability under injected component faults.
+// Sweeps a fault-rate knob that scales a deterministic FaultPlan (dropped
+// samples, NaN/throwing predictors, flaky actions, plus a scripted crash
+// and hang at the higher rates) over an 8-node fleet. The hardened round
+// quarantines, retries and trips breakers its way to the horizon, so
+// availability and coverage degrade gracefully with the rate. One JSON
+// line per fault rate (scrapeable via the {"bench":"fault_injection",...}
 // prefix).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <exception>
 #include <memory>
 #include <string>
 
@@ -82,22 +79,18 @@ inj::FaultPlan make_plan(double rate) {
   return plan;
 }
 
-struct ArmResult {
-  bool completed = false;
-  std::string abort_reason;
+struct RateResult {
   runtime::FleetTelemetry telemetry;
   inj::InjectionStats injected;
 };
 
-ArmResult run_arm(double rate, bool hardened) {
+RateResult run_rate(double rate) {
   inj::FaultInjector injector(make_plan(rate));
 
   runtime::FleetConfig cfg;
   cfg.mea.evaluation_interval = 60.0;
   cfg.mea.warning_threshold = 0.72;
   cfg.num_threads = 4;
-  cfg.resilience.enabled = hardened;
-  cfg.mea.retry.rethrow = !hardened;  // pre-hardening fail-fast behavior
 
   runtime::FleetController fleet(
       injector.wrap_fleet(runtime::make_scp_fleet(fleet_base_config(),
@@ -112,13 +105,8 @@ ArmResult run_arm(double rate, bool hardened) {
     return std::make_unique<act::PreparedRepairAction>(900.0);
   }));
 
-  ArmResult out;
-  try {
-    fleet.run();
-    out.completed = true;
-  } catch (const std::exception& e) {
-    out.abort_reason = e.what();
-  }
+  fleet.run();
+  RateResult out;
   out.telemetry = fleet.telemetry();
   out.injected = injector.stats();
   return out;
@@ -127,70 +115,57 @@ ArmResult run_arm(double rate, bool hardened) {
 void print_experiment() {
   std::printf("== E15 (extension): fleet availability vs injected fault "
               "rate ==\n");
-  std::printf("(%zu nodes x %.1f day(s); hardened = quarantine + retry + "
-              "circuit breakers, unhardened = fail-fast)\n\n",
+  std::printf("(%zu nodes x %.1f day(s); hardened round = quarantine + "
+              "retry + circuit breakers)\n\n",
               kFleetNodes, kDuration / 86400.0);
-  std::printf("  %-6s %-10s %-10s %-13s %-10s %-12s %-10s %s\n", "rate",
-              "arm", "completed", "availability", "coverage", "quarantined",
-              "injected", "outcome");
+  std::printf("  %-6s %-13s %-10s %-12s %s\n", "rate", "availability",
+              "coverage", "quarantined", "injected");
 
   for (double rate : {0.0, 0.02, 0.05, 0.1, 0.2}) {
-    for (bool hardened : {true, false}) {
-      const auto r = run_arm(rate, hardened);
-      const auto& t = r.telemetry;
-      const double coverage =
-          t.system.simulated / (static_cast<double>(kFleetNodes) * kDuration);
-      std::printf("  %-6.2f %-10s %-10s %-13.6f %-10.4f %-12zu %-10zu %s\n",
-                  rate, hardened ? "hardened" : "fail-fast",
-                  r.completed ? "yes" : "no", t.system.availability(),
-                  coverage, t.resilience.nodes_quarantined,
-                  r.injected.total(),
-                  r.completed ? "ran to horizon"
-                              : ("aborted: " + r.abort_reason).c_str());
-      bench::JsonLine()
-          .field("bench", "fault_injection")
-          .field("fault_rate", rate)
-          .field("hardened", static_cast<std::size_t>(hardened ? 1 : 0))
-          .field("completed", static_cast<std::size_t>(r.completed ? 1 : 0))
-          .field("availability", t.system.availability())
-          .field("coverage", coverage)
-          .field("rounds", t.rounds)
-          .field("warnings", t.warnings_raised)
-          .field("actions", t.mea.total_actions())
-          .field("nodes_quarantined", t.resilience.nodes_quarantined)
-          .field("breaker_trips", t.resilience.breaker_trips)
-          .field("scores_sanitized", t.resilience.scores_sanitized)
-          .field("action_faults", t.mea.action_faults)
-          .field("action_retries", t.mea.action_retries)
-          .field("actions_abandoned", t.mea.actions_abandoned)
-          .field("injected_total", r.injected.total())
-          .field("injected_crashes", r.injected.node_crashes)
-          .field("injected_hangs", r.injected.node_hangs)
-          .field("injected_samples_dropped", r.injected.samples_dropped)
-          .field("injected_predictor_faults",
-                 r.injected.predictor_throws + r.injected.predictor_nans)
-          .field("injected_action_failures", r.injected.action_failures)
-          .emit();
-    }
+    const auto r = run_rate(rate);
+    const auto& t = r.telemetry;
+    const double coverage =
+        t.system.simulated / (static_cast<double>(kFleetNodes) * kDuration);
+    std::printf("  %-6.2f %-13.6f %-10.4f %-12zu %zu\n", rate,
+                t.system.availability(), coverage,
+                t.resilience.nodes_quarantined, r.injected.total());
+    bench::JsonLine()
+        .field("bench", "fault_injection")
+        .field("fault_rate", rate)
+        .field("availability", t.system.availability())
+        .field("coverage", coverage)
+        .field("rounds", t.rounds)
+        .field("warnings", t.warnings_raised)
+        .field("actions", t.mea.total_actions())
+        .field("nodes_quarantined", t.resilience.nodes_quarantined)
+        .field("breaker_trips", t.resilience.breaker_trips)
+        .field("scores_sanitized", t.resilience.scores_sanitized)
+        .field("action_faults", t.mea.action_faults)
+        .field("action_retries", t.mea.action_retries)
+        .field("actions_abandoned", t.mea.actions_abandoned)
+        .field("injected_total", r.injected.total())
+        .field("injected_crashes", r.injected.node_crashes)
+        .field("injected_hangs", r.injected.node_hangs)
+        .field("injected_samples_dropped", r.injected.samples_dropped)
+        .field("injected_predictor_faults",
+               r.injected.predictor_throws + r.injected.predictor_nans)
+        .field("injected_action_failures", r.injected.action_failures)
+        .emit();
   }
-  std::printf("\n(hardened coverage degrades gracefully with the rate — "
-              "only quarantined nodes stop accumulating simulated time; "
-              "fail-fast loses the whole remaining fleet on the first "
-              "fault)\n\n");
+  std::printf("\n(coverage degrades gracefully with the rate — only "
+              "quarantined nodes stop accumulating simulated time)\n\n");
 }
 
-/// Overhead of the hardening on a fault-free fleet: the per-round cost of
-/// the captured parallel-for, breaker bookkeeping and finite checks when
-/// none of them ever engage.
+/// Per-round cost of the hardened round on a fault-free fleet: the
+/// captured parallel-for, breaker bookkeeping and finite checks when none
+/// of them ever engage.
 void BM_FleetRound(benchmark::State& state) {
-  const bool hardened = state.range(0) != 0;
   auto cfg_base = fleet_base_config();
   cfg_base.duration = 14.0 * 86400.0;  // never exhausted by the timing loop
   runtime::FleetConfig cfg;
   cfg.mea.evaluation_interval = 60.0;
   cfg.mea.warning_threshold = 0.72;
   cfg.num_threads = 1;
-  cfg.resilience.enabled = hardened;
   runtime::FleetController fleet(runtime::make_scp_fleet(cfg_base, kFleetNodes),
                                  cfg);
   fleet.add_symptom_predictor(
@@ -202,7 +177,7 @@ void BM_FleetRound(benchmark::State& state) {
     benchmark::DoNotOptimize(fleet.telemetry().rounds);
   }
 }
-BENCHMARK(BM_FleetRound)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FleetRound)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -100,7 +100,7 @@ QualityRun run_quality_fleet(const TrainedBaselines& preds, bool quality_on) {
   cfg.scheduler = runtime::FleetScheduler::kEventDriven;
   cfg.num_shards = 4;
   cfg.epoch_ticks = 4;
-  cfg.quality.enabled = quality_on;
+  cfg.quality = quality_on;
   cfg.obs = &hub;
 
   runtime::FleetController fleet(
@@ -123,7 +123,7 @@ QualityRun run_quality_fleet(const TrainedBaselines& preds, bool quality_on) {
     out.window = q->windowed(lane);
     out.lifetime = q->cumulative(lane);
     out.auc = q->auc_estimate(lane);
-    ctmc::PfmModelParams params = cfg.quality.model;
+    ctmc::PfmModelParams params;
     params.quality = ctmc::clamped_quality(out.window.precision(),
                                            out.window.recall(),
                                            out.window.false_positive_rate());

@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
   fleet_cfg.mea.warning_threshold = 0.72;
   fleet_cfg.mea.action_cooldown = 600.0;
   fleet_cfg.num_threads = 2;
-  fleet_cfg.quality.enabled = true;  // the live Sect. 3.3 scoreboard
+  fleet_cfg.quality = true;  // the live Sect. 3.3 scoreboard
   fleet_cfg.obs = &hub;
   auto nodes = runtime::make_scp_fleet(loop_cfg, 4);
   const auto pressure_idx =

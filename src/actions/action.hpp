@@ -61,8 +61,8 @@ class Action {
   /// score in (0,1); actions may scale their aggressiveness with it.
   ///
   /// Fault model: execute may throw (an actuator can fail like anything
-  /// else). The Act engine retries per core::ActionRetryPolicy and backs
-  /// the action kind off exponentially when every attempt fails, so
+  /// else). The Act engine retries it (core::ActEngine::kMaxAttempts) and
+  /// backs the action kind off exponentially when every attempt fails, so
   /// implementations should tolerate being re-executed after a partial
   /// completion (all hooks on ManagedSystem are safe to repeat).
   virtual void execute(core::ManagedSystem& system, double confidence) = 0;

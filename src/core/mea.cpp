@@ -36,11 +36,9 @@ void ActEngine::set_flight(obs::FlightRecorder* flight, std::size_t node) {
 }
 
 bool ActEngine::try_execute(act::Action& action, ManagedSystem& system,
-                            double score, const MeaConfig& config,
-                            MeaStats& stats) {
+                            double score, MeaStats& stats) {
   const std::size_t k = static_cast<std::size_t>(action.kind());
-  const std::size_t attempts = std::max<std::size_t>(1, config.retry.max_attempts);
-  for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
+  for (std::size_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
     if (attempt > 0) {
       ++stats.action_retries;
       if (retries_total_ != nullptr) retries_total_->inc();
@@ -75,7 +73,6 @@ bool ActEngine::try_execute(act::Action& action, ManagedSystem& system,
     } catch (const std::exception&) {
       ++stats.action_faults;
       if (faults_total_ != nullptr) faults_total_->inc();
-      if (config.retry.rethrow) throw;
     }
   }
   // All attempts failed: back the kind off exponentially in simulated
@@ -89,9 +86,9 @@ bool ActEngine::try_execute(act::Action& action, ManagedSystem& system,
                          0, static_cast<std::int64_t>(k), score});
   }
   const double backoff =
-      std::min(config.retry.backoff_initial *
+      std::min(kBackoffInitial *
                    std::exp2(static_cast<double>(abandoned_streak_[k])),
-               config.retry.backoff_max);
+               kBackoffMax);
   ++abandoned_streak_[k];
   backoff_until_[k] = system.now() + backoff;
   return false;
@@ -116,7 +113,7 @@ void ActEngine::act(ManagedSystem& system, double score,
     for (const auto& a : actions_) {
       if (a->goal() != act::ActionGoal::kDowntimeMinimization) continue;
       if (!a->applicable(system) || !cooled_down(a->kind())) continue;
-      if (try_execute(*a, system, score, config, stats)) record(a->kind());
+      if (try_execute(*a, system, score, stats)) record(a->kind());
     }
   }
 
@@ -135,8 +132,7 @@ void ActEngine::act(ManagedSystem& system, double score,
         best = a.get();
       }
     }
-    if (best != nullptr &&
-        try_execute(*best, system, score, config, stats)) {
+    if (best != nullptr && try_execute(*best, system, score, stats)) {
       record(best->kind());
     }
   }

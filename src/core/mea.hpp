@@ -11,24 +11,6 @@
 
 namespace pfm::core {
 
-/// Bounded-retry / exponential-backoff policy for countermeasure
-/// execution. A throwing action is retried up to `max_attempts` total
-/// tries within the same warning; when all attempts fail, the action's
-/// kind is backed off in *simulated* time (initial * 2^consecutive
-/// abandoned executions, capped at `backoff_max`) before it may run
-/// again, and the failure is absorbed into the stats instead of
-/// propagating. Actions that never throw see none of this — the
-/// fault-free path is bit-identical to a policy-free loop.
-struct ActionRetryPolicy {
-  std::size_t max_attempts = 3;  ///< total tries per execution; >= 1
-  double backoff_initial = 120.0;  ///< seconds, doubles per failure
-  double backoff_max = 3600.0;
-  /// Propagate the last exception instead of absorbing it (pre-hardening
-  /// behavior; the fault-injection bench uses this as its "no hardening"
-  /// arm).
-  bool rethrow = false;
-};
-
 /// Configuration of the Monitor-Evaluate-Act loop.
 struct MeaConfig {
   /// Seconds between MEA evaluations.
@@ -46,8 +28,6 @@ struct MeaConfig {
   /// E9 experiment toggles these.
   bool enable_avoidance = true;
   bool enable_minimization = true;
-  /// Failure handling for countermeasure execution.
-  ActionRetryPolicy retry;
 };
 
 /// Counters of one MEA run. The fault counters stay zero unless a
@@ -87,6 +67,16 @@ struct MeaStats {
 /// per managed node while sharing predictors across the fleet.
 class ActEngine {
  public:
+  /// Bounded retry with exponential backoff: a throwing action gets
+  /// kMaxAttempts tries within one warning. When all of them fail, the
+  /// failure is absorbed into the stats and the action's kind is backed
+  /// off in *simulated* time — kBackoffInitial seconds, doubling per
+  /// consecutive abandoned execution, capped at kBackoffMax — before it
+  /// may run again. Actions that never throw see none of this.
+  static constexpr std::size_t kMaxAttempts = 3;
+  static constexpr double kBackoffInitial = 120.0;
+  static constexpr double kBackoffMax = 3600.0;
+
   ActEngine() {
     last_action_time_.fill(-1e18);
     backoff_until_.fill(-1e18);
@@ -103,9 +93,8 @@ class ActEngine {
   ///  - downtime avoidance: the objective function picks the single most
   ///    effective applicable action.
   /// Executed actions are counted into `stats` and stamp their cooldown.
-  /// Throwing actions follow `config.retry` (bounded retries, then
-  /// exponential backoff on the action's kind, failure absorbed into
-  /// `stats` unless the policy says rethrow).
+  /// Throwing actions are retried and backed off (kMaxAttempts above);
+  /// their failures land in `stats`, never in the caller.
   void act(ManagedSystem& system, double score, const MeaConfig& config,
            MeaStats& stats);
 
@@ -131,7 +120,7 @@ class ActEngine {
  private:
   /// Runs one action under the retry policy; true on success.
   bool try_execute(act::Action& action, ManagedSystem& system, double score,
-                   const MeaConfig& config, MeaStats& stats);
+                   MeaStats& stats);
 
   obs::TraceRecorder* tracer_ = nullptr;
   std::uint32_t track_ = 0;

@@ -58,9 +58,6 @@ struct PredictorFaultSpec {
   double throw_p = 0.0;  ///< scoring throws PredictorFaultError
   double nan_p = 0.0;    ///< score comes back as quiet NaN
   double inf_p = 0.0;    ///< score comes back as +infinity
-  /// Extra wall latency per score_batch call, seconds (stage slowdown;
-  /// never affects results, only timing telemetry).
-  double added_latency = 0.0;
 };
 
 /// Scripted faults of one action wrapper. Probabilities are per execution
@@ -130,38 +127,31 @@ class DecisionStream {
  public:
   DecisionStream() = default;
   DecisionStream(std::uint64_t seed, std::uint64_t kind, std::uint64_t id)
-      : key_(mix(mix(seed ^ 0x9e3779b97f4a7c15ULL, kind), id)) {}
+      : key_(core::mix64(core::mix64(seed ^ 0x9e3779b97f4a7c15ULL, kind),
+                         id)) {}
 
   /// Next uniform draw in [0, 1).
   double uniform() {
-    return static_cast<double>(mix(key_, counter_++) >> 11) * 0x1.0p-53;
+    return static_cast<double>(core::mix64(key_, counter_++) >> 11) *
+           0x1.0p-53;
   }
 
   /// Next Bernoulli draw; p <= 0 never fires (and burns no draw), so a
   /// zero-probability plan leaves the stream untouched.
   bool fire(double p) { return p > 0.0 && uniform() < p; }
 
-  /// Derives a sub-stream id from two components with the same splitmix64
-  /// finalizer the stream key uses. Wrappers that roll *per item* rather
+  /// Derives a sub-stream id from two components with core::mix64, the
+  /// mixer the stream key uses. Wrappers that roll *per item* rather
   /// than per call chain this over the item's identity — e.g.
   /// derive(derive(id, origin), ordinal) — so each item owns a stream
   /// that is a pure function of what it is, not of when or where it was
   /// scored; that is what keeps injected rolls bit-exact under
   /// resharding and concurrent scoring.
   static std::uint64_t derive(std::uint64_t a, std::uint64_t b) noexcept {
-    return mix(a, b);
+    return core::mix64(a, b);
   }
 
  private:
-  /// splitmix64 finalizer over a combined key (same construction as
-  /// runtime::derive_node_seed).
-  static std::uint64_t mix(std::uint64_t a, std::uint64_t b) noexcept {
-    std::uint64_t z = a + 0x9e3779b97f4a7c15ULL * (b + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
   std::uint64_t key_ = 0;
   std::uint64_t counter_ = 0;
 };

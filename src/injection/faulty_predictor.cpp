@@ -1,9 +1,7 @@
 #include "injection/faulty_predictor.hpp"
 
-#include <chrono>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 namespace pfm::inj {
 
@@ -27,13 +25,6 @@ PredictorFaultState::PredictorFaultState(
         "pfm_injected_faults_total{kind=\"predictor_throw\"}");
     nan_counter_ =
         &metrics.counter("pfm_injected_faults_total{kind=\"predictor_nan\"}");
-  }
-}
-
-void PredictorFaultState::sleep_latency() const {
-  if (spec_.added_latency > 0.0) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(spec_.added_latency));
   }
 }
 
@@ -82,7 +73,6 @@ void FaultySymptomPredictor::train(const mon::MonitoringDataset&) {
 double FaultySymptomPredictor::score(
     const pred::SymptomContext& context) const {
   double value = inner_->score(context);
-  state_.sleep_latency();
   state_.corrupt_one(value, context.origin, context.ordinal);
   return value;
 }
@@ -91,7 +81,6 @@ void FaultySymptomPredictor::score_batch(
     std::span<const pred::SymptomContext> contexts, std::span<double> out,
     pred::BatchScratch& scratch) const {
   inner_->score_batch(contexts, out, scratch);
-  state_.sleep_latency();
   for (std::size_t i = 0; i < contexts.size(); ++i) {
     state_.corrupt_one(out[i], contexts[i].origin, contexts[i].ordinal);
   }
@@ -114,7 +103,6 @@ void FaultyEventPredictor::train(std::span<const mon::ErrorSequence>,
 
 double FaultyEventPredictor::score(const mon::ErrorSequence& sequence) const {
   double value = inner_->score(sequence);
-  state_.sleep_latency();
   state_.corrupt_one(value, sequence.origin, sequence.ordinal);
   return value;
 }
@@ -123,7 +111,6 @@ void FaultyEventPredictor::score_batch(
     std::span<const mon::ErrorSequence> sequences, std::span<double> out,
     pred::BatchScratch& scratch) const {
   inner_->score_batch(sequences, out, scratch);
-  state_.sleep_latency();
   for (std::size_t i = 0; i < sequences.size(); ++i) {
     state_.corrupt_one(out[i], sequences[i].origin, sequences[i].ordinal);
   }

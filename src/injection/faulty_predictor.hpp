@@ -11,7 +11,7 @@ namespace pfm::inj {
 namespace detail {
 
 /// Shared fault machinery of the two predictor decorators: per-item rolls
-/// of (throw, NaN, inf), plus optional wall latency per batch call.
+/// of (throw, NaN, inf).
 ///
 /// Each scored item rolls from its *own* decision stream, keyed by
 /// (plan seed, predictor id, item origin, item ordinal) — the identity
@@ -36,9 +36,6 @@ class PredictorFaultState {
   /// PredictorFaultError when the throw roll fires.
   void corrupt_one(double& value, std::uint64_t origin,
                    std::uint64_t ordinal) const;
-
-  /// Sleeps the injected per-call latency (wall time only; no results).
-  void sleep_latency() const;
 
   /// Snapshot of the injected-fault counters.
   InjectionStats stats() const noexcept { return counters_->snapshot(); }

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/sharding.hpp"
+
 namespace pfm::membership {
 
 const char* to_string(ChurnKind kind) {
@@ -135,16 +137,10 @@ void MembershipConfig::validate() const {
 
 std::uint64_t derive_member_seed(std::uint64_t plan_seed, std::size_t node,
                                  std::size_t incarnation) {
-  // Two rounds of the splitmix64 finalizer, mixing in slot then incarnation,
-  // matching the derive(id, origin) stream discipline used elsewhere.
-  auto mix = [](std::uint64_t a, std::uint64_t b) {
-    std::uint64_t z = a + 0x9e3779b97f4a7c15ULL * (b + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  };
-  return mix(mix(plan_seed, static_cast<std::uint64_t>(node)),
-             static_cast<std::uint64_t>(incarnation));
+  // Mixes in slot then incarnation, the derive(id, origin) stream
+  // discipline of the fault injector.
+  return core::mix64(core::mix64(plan_seed, static_cast<std::uint64_t>(node)),
+                     static_cast<std::uint64_t>(incarnation));
 }
 
 }  // namespace pfm::membership

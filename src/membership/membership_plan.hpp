@@ -160,9 +160,8 @@ struct MembershipStats {
   std::uint64_t drains = 0;
 };
 
-// splitmix64 over (plan seed, slot, incarnation) — the same finalizer as the
-// runtime's per-node streams and the injector's DecisionStream::mix, kept as
-// a local copy so membership does not depend on injection or runtime.
+// core::mix64 over (plan seed, slot, incarnation) — the mixer behind the
+// runtime's per-node streams and the injector's decision streams too.
 std::uint64_t derive_member_seed(std::uint64_t plan_seed, std::size_t node,
                                  std::size_t incarnation);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "ctmc/pfm_model.hpp"
 #include "prediction/frozen.hpp"
 #include "prediction/ubf.hpp"
 #include "runtime/shard.hpp"
@@ -245,16 +246,12 @@ void FleetController::ensure_observers_ready() {
       engines_[i].set_flight(flight_, i);
     }
   }
-  if (!config_.quality.enabled) return;
+  if (!config_.quality) return;
   if (!quality_) {
     obs::QualityConfig qc;
     qc.lead_time = config_.mea.windows.lead_time;
     qc.prediction_window = config_.mea.windows.prediction_window;
-    qc.count_early_failures = config_.quality.count_early_failures;
     qc.warning_threshold = config_.mea.warning_threshold;
-    qc.pending_capacity = config_.quality.pending_capacity;
-    qc.outcome_window = config_.quality.outcome_window;
-    qc.score_bins = config_.quality.score_bins;
     quality_ = std::make_unique<obs::QualityTracker>(qc, &obs_->metrics());
     auto& metrics = obs_->metrics();
     model_availability_gauge_ =
@@ -283,10 +280,12 @@ void FleetController::refresh_quality_gauges() {
   for (const auto& node : nodes_) sys += node->system_stats();
   const double measured = sys.availability();
   // Eq. 8 model availability, driven by the live windowed quality of the
-  // combined lane — the self-assessed counterpart of `measured`.
+  // combined lane — the self-assessed counterpart of `measured`: the
+  // default CTMC parameters take the windowed (precision, recall, fpr),
+  // clamped off the degenerate boundaries.
   const std::size_t lane = quality_->combined_lane();
   auto model_of = [&](const obs::ConfusionCounts& counts) {
-    ctmc::PfmModelParams params = config_.quality.model;
+    ctmc::PfmModelParams params;
     params.quality = ctmc::clamped_quality(
         counts.precision(), counts.recall(), counts.false_positive_rate());
     return ctmc::PfmAvailabilityModel(params).availability_closed_form();
@@ -345,9 +344,8 @@ void FleetController::run_until(double t) {
     }
     // One cross-shard epoch: every shard drains its calendar up to the
     // shared barrier tick. All state a shard touches is shard-local, so
-    // the pool handshake is the only synchronization. With resilience
-    // enabled shards absorb component faults internally and never
-    // throw; fail-fast mode propagates the first fault.
+    // the pool handshake is the only synchronization. Shards absorb
+    // component faults internally and never throw.
     inst_.epochs_total->inc();
     epoch_end_tick_ += config_.epoch_ticks;
     const std::uint64_t end_tick = epoch_end_tick_;
@@ -479,16 +477,12 @@ void FleetController::member_depart(std::size_t i, double at_time, bool drain,
     // Graceful removal: let the system persist state first — unless it
     // is quarantined (crashed/hung systems get no goodbye call).
     if (!state.quarantined && !nodes_[i]->finished()) {
-      if (config_.resilience.enabled) {
-        try {
-          nodes_[i]->prepare_for_drain();
-        } catch (...) {  // pfm-lint: allow(concurrency) — barrier-time
-                         // capture; the node is leaving either way, a
-                         // failing goodbye only counts as a node fault
-          inst_.node_faults_total->inc();
-        }
-      } else {
+      try {
         nodes_[i]->prepare_for_drain();
+      } catch (...) {  // pfm-lint: allow(concurrency) — barrier-time
+                       // capture; the node is leaving either way, a
+                       // failing goodbye only counts as a node fault
+        inst_.node_faults_total->inc();
       }
     }
   }

@@ -8,7 +8,6 @@
 #include "core/managed_system.hpp"
 #include "core/mea.hpp"
 #include "core/sharding.hpp"
-#include "ctmc/pfm_model.hpp"
 #include "membership/membership_plan.hpp"
 #include "obs/observability.hpp"
 #include "obs/quality.hpp"
@@ -20,49 +19,6 @@
 namespace pfm::runtime {
 
 class ShardController;
-
-/// Fault handling of the fleet loop itself. Enabled by default: with
-/// healthy components none of it ever engages, so the fault-free path is
-/// bit-identical to a resilience-free loop. Disabled, the controller
-/// reverts to fail-fast (the first component exception aborts the run) —
-/// the fault-injection bench's "no hardening" arm.
-struct ResilienceConfig {
-  bool enabled = true;
-  /// Consecutive Monitor rounds a node may make no time progress before
-  /// it is quarantined as hung.
-  std::size_t max_stall_rounds = 3;
-  /// Consecutive faulty Evaluate rounds (a throw, or any non-finite
-  /// score) before a predictor's circuit breaker opens.
-  std::size_t breaker_trip_failures = 3;
-  /// Rounds a tripped predictor sits out before a half-open probe round.
-  std::size_t breaker_open_rounds = 8;
-};
-
-/// Online prediction-quality scoreboard (DESIGN.md §10): a fleet-wide
-/// obs::QualityTracker matching live warnings against ground-truth
-/// failures (the Sect. 3.3 rule), plus a live Eq. 8 availability
-/// estimate driven by the windowed combined-lane quality. Inactive (the
-/// default) costs nothing: no quality instruments are registered and
-/// every export stays byte-identical to a quality-free build. The
-/// window geometry and warning threshold come from the owning
-/// FleetConfig's MeaConfig — a single source of truth, so the online
-/// counts reproduce the offline evaluation exactly.
-struct FleetQualityConfig {
-  bool enabled = false;
-  /// Count a failure earlier than lead_time ahead as a true positive
-  /// (must match EvalOptions::count_early_failures for cross-checks).
-  bool count_early_failures = true;
-  /// Pending-instant ring per node (see QualityConfig).
-  std::size_t pending_capacity = 64;
-  /// Sliding outcome window per (node, lane) behind the live gauges.
-  std::size_t outcome_window = 128;
-  /// Score-distribution bins per lane (streaming PR curve / AUC).
-  std::size_t score_bins = 20;
-  /// Eq. 8 CTMC parameters; the `quality` field is overwritten at each
-  /// refresh with the live windowed (precision, recall, fpr) estimate,
-  /// clamped off the degenerate boundaries via ctmc::clamped_quality.
-  ctmc::PfmModelParams model;
-};
 
 /// Loop structure of the fleet runtime. Both schedulers run on the shard
 /// engine (runtime/shard.hpp): per-shard controllers that drain a
@@ -115,10 +71,12 @@ struct FleetConfig {
   /// config quantizes churn to epoch boundaries, so epoch_ticks becomes
   /// semantic for churn timing (results stay thread-count invariant).
   membership::MembershipConfig membership;
-  ResilienceConfig resilience;
   /// Online prediction-quality scoreboard + live Eq. 8 availability
-  /// estimation (see FleetQualityConfig). Off by default.
-  FleetQualityConfig quality;
+  /// estimate (DESIGN.md §10), scored with `mea`'s window geometry and
+  /// warning threshold so the online counts reproduce the offline
+  /// evaluation exactly. Off (the default) registers nothing and leaves
+  /// every export byte-identical to a quality-free build.
+  bool quality = false;
   /// External observability hub (metrics + tracing + exporters). Must be
   /// sized with shards >= num_threads and not shared between concurrently
   /// running controllers. nullptr = the controller keeps a private
@@ -166,10 +124,10 @@ struct FleetTelemetry {
   /// epochs == rounds under the lockstep preset (one shard, epoch_ticks
   /// == 1).
   std::size_t epochs = 0;
-  /// Individual node Monitor steps. This is the unit quarantine
-  /// thresholds (max_stall_rounds) count in: node-local steps, not
-  /// global rounds — identical under a dense schedule, but an adaptively
-  /// backed-off node steps far fewer times than the fleet runs rounds.
+  /// Individual node Monitor steps. This is the unit the stall
+  /// quarantine threshold counts in: node-local steps, not global rounds
+  /// — identical under a dense schedule, but an adaptively backed-off
+  /// node steps far fewer times than the fleet runs rounds.
   std::size_t node_steps = 0;
   std::size_t scores_computed = 0;  ///< individual predictor scores
   std::size_t warnings_raised = 0;  ///< across the whole fleet
@@ -248,7 +206,8 @@ struct FleetInstruments {
 /// randomness lives inside the node, so results are bit-identical for
 /// any thread count.
 ///
-/// The loop is itself proactively fault-managed (ResilienceConfig):
+/// The loop is itself proactively fault-managed (DESIGN.md §3
+/// "Hardening"; the thresholds are constants in runtime/shard.cpp):
 ///  - a node whose Monitor/Act stage throws, or that stops making time
 ///    progress, is *quarantined* — recorded with its reason and excluded
 ///    from further rounds while the rest of the fleet keeps running;
@@ -258,11 +217,11 @@ struct FleetInstruments {
 ///    carry the Evaluate stage in degraded mode;
 ///  - non-finite scores never reach the warning decision (sanitized and
 ///    counted);
-///  - failing countermeasures follow the core ActionRetryPolicy (bounded
-///    retry, exponential backoff).
-/// All of it is deterministic: quarantine and breaker transitions depend
-/// only on per-round outcomes, which are themselves thread-count
-/// invariant.
+///  - failing countermeasures get bounded retries and exponential
+///    backoff (core::ActEngine).
+/// On a healthy fleet none of it engages. All of it is deterministic:
+/// quarantine and breaker transitions depend only on per-round outcomes,
+/// which are themselves thread-count invariant.
 class FleetController {
  public:
   FleetController(std::vector<std::unique_ptr<core::ManagedSystem>> nodes,
@@ -282,9 +241,9 @@ class FleetController {
   void add_action(
       const std::function<std::unique_ptr<act::Action>()>& factory);
 
-  /// Runs every node to its horizon. With resilience enabled this never
-  /// throws on component faults: failing nodes are quarantined and the
-  /// run completes with whatever remains of the fleet.
+  /// Runs every node to its horizon. Never throws on component faults:
+  /// failing nodes are quarantined and the run completes with whatever
+  /// remains of the fleet.
   void run();
 
   /// Runs every node until time `t` (or its horizon, whichever is first).
@@ -331,8 +290,8 @@ class FleetController {
   const obs::Observability& observability() const noexcept { return *obs_; }
   obs::Observability& observability() noexcept { return *obs_; }
 
-  /// The online quality tracker, or nullptr while FleetQualityConfig is
-  /// disabled (or before the first run built it). Read between runs only.
+  /// The online quality tracker, or nullptr while FleetConfig::quality is
+  /// off (or before the first run built it). Read between runs only.
   const obs::QualityTracker* quality_tracker() const noexcept {
     return quality_.get();
   }
@@ -378,7 +337,7 @@ class FleetController {
   double member_score(std::size_t i) const PFM_REQUIRES(controller_);
 
   /// Arms the quality tracker and flight recorder for a run: builds the
-  /// tracker on first use (FleetQualityConfig enabled), re-declares the
+  /// tracker on first use (FleetConfig::quality on), re-declares the
   /// predictor lanes (predictors may have been registered since the last
   /// run), sizes per-node scopes and attaches the Act engines to the
   /// flight recorder. Controller thread, before any parallel section.
@@ -412,7 +371,7 @@ class FleetController {
   obs::Gauge* scratch_bytes_gauge_ = nullptr;
 
   // Online quality scoreboard + flight recorder (both off by default:
-  // quality_ stays null unless FleetQualityConfig::enabled, flight_
+  // quality_ stays null unless FleetConfig::quality, flight_
   // stays null unless the hub was built with flight_capacity > 0 — so a
   // disabled config registers nothing and exports stay byte-identical).
   // The tracker's hot entry points are owning-thread operations like

@@ -26,20 +26,17 @@ struct SchedulePolicy {
   /// most max_gap intervals and is dense again from then on.
   std::size_t max_gap = 16;
   /// A node whose combined score reaches this fraction of the warning
-  /// threshold is kept dense.
+  /// threshold is kept dense (as is a node with an urgent SchedulingHint
+  /// or new error events; see ShardController::node_is_hot).
   double hot_score_fraction = 0.5;
-  /// A node whose SchedulingHint urgency reaches this value is kept
-  /// dense (1.0 is the ManagedSystem default, so unknown backends never
-  /// get backed off).
-  double hot_urgency = 0.75;
 
   void validate() const {
     if (max_gap == 0) {
       throw std::invalid_argument("SchedulePolicy: max_gap must be >= 1");
     }
-    if (hot_score_fraction < 0.0 || hot_urgency < 0.0) {
+    if (hot_score_fraction < 0.0) {
       throw std::invalid_argument(
-          "SchedulePolicy: hot thresholds must be >= 0");
+          "SchedulePolicy: hot_score_fraction must be >= 0");
     }
   }
 

@@ -1,16 +1,13 @@
 #include "runtime/scp_system.hpp"
 
+#include "core/sharding.hpp"
+
 namespace pfm::runtime {
 
 std::uint64_t derive_node_seed(std::uint64_t base_seed,
                                std::size_t node_index) noexcept {
   if (node_index == 0) return base_seed;
-  // splitmix64 finalizer over the (seed, index) pair.
-  std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ULL *
-                                    static_cast<std::uint64_t>(node_index);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return core::mix64(base_seed, static_cast<std::uint64_t>(node_index) - 1);
 }
 
 std::vector<std::unique_ptr<core::ManagedSystem>> make_scp_fleet(

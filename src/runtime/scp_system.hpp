@@ -111,10 +111,10 @@ class ScpManagedSystem final : public core::ManagedSystem {
   telecom::ScpSimulator* sim_;
 };
 
-/// Statistically independent per-node RNG stream: splitmix64 finalizer
-/// over (base_seed, node_index), so neighboring node indices land far
-/// apart in seed space. Node 0 keeps base_seed — a 1-node fleet is
-/// bit-identical to a standalone simulator with the same config.
+/// Statistically independent per-node RNG stream: core::mix64(base_seed,
+/// node_index - 1), so neighboring node indices land far apart in seed
+/// space. Node 0 keeps base_seed — a 1-node fleet is bit-identical to a
+/// standalone simulator with the same config.
 std::uint64_t derive_node_seed(std::uint64_t base_seed,
                                std::size_t node_index) noexcept;
 

@@ -13,6 +13,15 @@ namespace {
 
 using WallClock = std::chrono::steady_clock;
 
+// The round's hardening thresholds (DESIGN.md §3 "Hardening"). A stall
+// streak counts the node's own Monitor steps, a breaker its shard's ticks.
+constexpr std::size_t kStallSteps = 3;        // no-progress steps -> quarantine
+constexpr std::size_t kBreakerTripTicks = 3;  // faulty ticks -> breaker opens
+constexpr std::size_t kBreakerOpenTicks = 8;  // ticks out before the probe
+// SchedulingHint urgency that keeps an adaptive node dense (the
+// ManagedSystem default, 1.0, always does).
+constexpr double kHotUrgency = 0.75;
+
 double seconds_since(WallClock::time_point start) {
   return std::chrono::duration<double>(WallClock::now() - start).count();
 }
@@ -35,15 +44,6 @@ std::string describe(const std::exception_ptr& error) {
 std::string stall_reason(std::size_t streak) {
   return "stalled: no monitor progress for " + std::to_string(streak) +
          " rounds";
-}
-
-// Fail-fast mode (resilience off): a stage's lowest-index fault aborts
-// the run once every index of the stage has run.
-// pfm-cold
-void rethrow_first(const std::vector<std::exception_ptr>& errors) {
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
 }
 
 }  // namespace
@@ -196,15 +196,13 @@ bool ShardController::node_is_hot(std::size_t local, double combined_score) {
     return true;
   }
   if (delta) return true;
-  return node.scheduling_hint().urgency >= config.schedule.hot_urgency;
+  return node.scheduling_hint().urgency >= kHotUrgency;
 }
 
 // pfm-hot
 void ShardController::process_tick(std::uint64_t tick, double t) {
   const FleetConfig& config = *env_.config;
   const double threshold = config.mea.warning_threshold;
-  const ResilienceConfig& res = config.resilience;
-  const bool hardened = res.enabled;
   auto& nodes = *env_.nodes;
   const auto& symptom = *env_.symptom;
   const auto& event = *env_.event;
@@ -260,37 +258,31 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
       node.step_to(target);
       span.set_sim_end(node.now());
     });
-    if (hardened) {
-      for (std::size_t a = 0; a < active_.size(); ++a) {
-        const std::size_t local = active_[a];
-        const std::size_t i = base_ + local;
-        if (errors_[a]) {
-          inst.node_faults_total->inc();
-          quarantine_local(local, describe(errors_[a]));
-        } else if (!nodes[i]->finished() &&
-                   nodes[i]->now() <= pre_step_time_[a]) {
-          // Returned but made no time progress: a hang, not a crash.
-          // Thresholded in node-local steps — an adaptively backed-off
-          // node accrues its streak at its own visits.
-          inst.stall_detections_total->inc();
-          if (++node_state_[local].stall_streak >= res.max_stall_rounds) {
-            quarantine_local(local,
-                             stall_reason(node_state_[local].stall_streak));
-          }
-        } else {
-          node_state_[local].stall_streak = 0;
+    for (std::size_t a = 0; a < active_.size(); ++a) {
+      const std::size_t local = active_[a];
+      const std::size_t i = base_ + local;
+      if (errors_[a]) {
+        inst.node_faults_total->inc();
+        quarantine_local(local, describe(errors_[a]));
+      } else if (!nodes[i]->finished() &&
+                 nodes[i]->now() <= pre_step_time_[a]) {
+        // Returned but made no time progress: a hang, not a crash.
+        inst.stall_detections_total->inc();
+        if (++node_state_[local].stall_streak >= kStallSteps) {
+          quarantine_local(local,
+                           stall_reason(node_state_[local].stall_streak));
         }
+      } else {
+        node_state_[local].stall_streak = 0;
       }
-      // Nodes quarantined this tick drop out of Evaluate/Act.
-      const auto& node_state = node_state_;
-      active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                   [&](std::size_t local) {
-                                     return node_state[local].quarantined;
-                                   }),
-                    active_.end());
-    } else {
-      rethrow_first(errors_);
     }
+    // Nodes quarantined this tick drop out of Evaluate/Act.
+    const auto& node_state = node_state_;
+    active_.erase(std::remove_if(active_.begin(), active_.end(),
+                                 [&](std::size_t local) {
+                                   return node_state[local].quarantined;
+                                 }),
+                  active_.end());
     double round_end = round_begin;
     for (const std::size_t local : active_) {
       round_end = std::max(round_end, nodes[base_ + local]->now());
@@ -356,7 +348,7 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
     // one half-open probe tick; closed (and probing) predictors score.
     live_.clear();
     for (std::size_t p = 0; p < num_predictors; ++p) {
-      if (hardened && breakers_[p].open && breakers_[p].open_rounds_left > 0) {
+      if (breakers_[p].open && breakers_[p].open_rounds_left > 0) {
         --breakers_[p].open_rounds_left;
         continue;
       }
@@ -380,7 +372,6 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
       }
       span.set_arg(static_cast<std::int64_t>(column.size()));
     });
-    if (!hardened) rethrow_first(errors_);
 
     // Per-predictor outcome: a throw or any non-finite score is a faulty
     // tick feeding this shard's breaker; a clean tick closes/heals it.
@@ -396,7 +387,7 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
         const bool by_context = p < symptom.size();
         for (std::size_t c = 0; c < n; ++c) {
           const double v = column[c];
-          if (hardened && !std::isfinite(v)) {
+          if (!std::isfinite(v)) {
             inst.scores_sanitized_total->inc();
             faulty = true;
             continue;
@@ -405,18 +396,17 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
           slot = std::max(slot, v);
         }
       }
-      if (!hardened) continue;
       auto& breaker = breakers_[p];
       if (faulty) {
         inst.predictor_faults_total->inc();
         bool tripped = false;
         if (breaker.open) {
           // Half-open probe failed: back to a full cooldown.
-          breaker.open_rounds_left = res.breaker_open_rounds;
+          breaker.open_rounds_left = kBreakerOpenTicks;
           tripped = true;
-        } else if (++breaker.failure_streak >= res.breaker_trip_failures) {
+        } else if (++breaker.failure_streak >= kBreakerTripTicks) {
           breaker.open = true;
-          breaker.open_rounds_left = res.breaker_open_rounds;
+          breaker.open_rounds_left = kBreakerOpenTicks;
           tripped = true;
         }
         if (tripped) {
@@ -535,7 +525,6 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
       (*env_.engines)[i].act(*(*env_.nodes)[i], combined_[a],
                              env_.config->mea, stats);
     });
-    if (!hardened) rethrow_first(errors_);
     for (std::size_t a = 0; a < active_.size(); ++a) {
       if (!errors_[a]) continue;
       inst.node_faults_total->inc();

@@ -109,9 +109,8 @@ class ShardController {
   bool idle() const noexcept { return calendar_.empty(); }
 
   /// Drains every calendar tick before `end_tick` (the epoch barrier),
-  /// stepping due nodes toward sim-time `t`. With resilience enabled
-  /// component faults are absorbed shard-locally, otherwise the
-  /// lowest-index fault of a stage propagates (fail-fast).
+  /// stepping due nodes toward sim-time `t`. Component faults are
+  /// absorbed shard-locally (quarantine, breakers, sanitization).
   void run_epoch(std::uint64_t end_tick, double t);
 
   std::size_t shard_index() const noexcept { return shard_index_; }

@@ -171,15 +171,6 @@ void ScpSimulator::tick(double t) {
       v = std::min<std::int64_t>(v, static_cast<std::int64_t>(share) + 1);
       window_violations_ += v;
       stats_.violations += v;
-#ifdef PFM_DEBUG_VIOLATIONS
-      if (v > 0) {
-        std::fprintf(stderr,
-                     "t=%.0f node=%zu class=%zu share=%.1f util=%.3f deg=%.2f "
-                     "qmult=%.2f mean_ms=%.1f p=%.3g v=%lld\n",
-                     t, i, c, share, util, degradation, qmult, mean_ms, p,
-                     static_cast<long long>(v));
-      }
-#endif
     }
   }
 

@@ -19,18 +19,16 @@
 #include <string>
 #include <vector>
 
+#include "core/sharding.hpp"
 #include "numerics/rng.hpp"
 
 namespace pfm::proptest {
 
-/// Deterministic per-case seed: splitmix64 over (suite_seed, index) —
+/// Deterministic per-case seed: core::mix64(suite_seed, index) —
 /// consecutive cases get decorrelated streams, and a case's seed never
 /// depends on how many cases run before it.
 inline std::uint64_t case_seed(std::uint64_t suite_seed, std::uint64_t index) {
-  std::uint64_t z = suite_seed + 0x9e3779b97f4a7c15ull * (index + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return core::mix64(suite_seed, index);
 }
 
 /// The seed override, if PFM_PROPERTY_SEED is set (decimal u64).

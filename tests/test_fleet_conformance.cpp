@@ -193,8 +193,6 @@ Artifacts run_fleet(std::size_t threads, bool hostile) {
   cfg.mea.windows = geometry();
   cfg.mea.warning_threshold = 0.6;
   cfg.mea.action_cooldown = 600.0;
-  cfg.mea.retry.max_attempts = 3;
-  cfg.mea.retry.backoff_initial = 120.0;
   cfg.num_threads = threads;
   cfg.obs = &hub;
 

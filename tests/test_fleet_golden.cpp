@@ -247,11 +247,9 @@ Run run_scenario(Scenario scenario, std::size_t threads) {
   cfg.mea.windows = geometry();
   cfg.mea.warning_threshold = 0.6;
   cfg.mea.action_cooldown = 600.0;
-  cfg.mea.retry.max_attempts = 3;
-  cfg.mea.retry.backoff_initial = 120.0;
   cfg.num_threads = threads;
   cfg.obs = &hub;
-  if (scenario == Scenario::kQuality) cfg.quality.enabled = true;
+  if (scenario == Scenario::kQuality) cfg.quality = true;
   if (scenario == Scenario::kMembership) {
     cfg.membership.plan = churn_plan();
     cfg.membership.factory = [sim](const membership::JoinContext& ctx)

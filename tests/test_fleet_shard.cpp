@@ -231,8 +231,6 @@ Artifacts run_fleet(const RunSpec& spec) {
   cfg.mea.windows = geometry();
   cfg.mea.warning_threshold = 0.6;
   cfg.mea.action_cooldown = 600.0;
-  cfg.mea.retry.max_attempts = 3;
-  cfg.mea.retry.backoff_initial = 120.0;
   cfg.num_threads = spec.threads;
   cfg.scheduler = spec.scheduler;
   cfg.num_shards = spec.num_shards;
@@ -501,11 +499,16 @@ TEST(FleetShard, AdaptiveSchedulingCutsNodeStepsNotCoverage) {
   // is the contract): total simulated time equals the dense run's.
   EXPECT_EQ(quiet.nodes, 3u);
 
-  // Urgent nodes (default urgency 1.0 >= hot_urgency) never back off —
+  // Urgent nodes (default urgency 1.0, above the hot cut) never back off —
   // unknown ManagedSystem backends stay dense by construction.
   const auto urgent = run_stub_fleet(cfg, 3, 1.0);
   EXPECT_EQ(urgent.node_steps, 96u);
   EXPECT_EQ(urgent.rounds, 32u);
+
+  // The hot cut is 0.75: a hint at the cut keeps nodes dense, one just
+  // below it backs off like a quiet node.
+  EXPECT_EQ(run_stub_fleet(cfg, 3, 0.75).node_steps, 96u);
+  EXPECT_EQ(run_stub_fleet(cfg, 3, 0.74).node_steps, quiet.node_steps);
 }
 
 // --- per-shard metrics -------------------------------------------------------

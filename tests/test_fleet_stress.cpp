@@ -79,9 +79,8 @@ Scenario draw_scenario(num::Rng& meta) {
   static_cast<void>(meta.bernoulli(0.75));
   s.cfg.mea.warning_threshold = meta.uniform(0.55, 0.80);
   s.cfg.mea.action_cooldown = 300.0 * meta.uniform_int(0, 2);
-  s.cfg.mea.retry.max_attempts =
-      static_cast<std::size_t>(meta.uniform_int(1, 3));
-  s.cfg.mea.retry.backoff_initial = 120.0;
+  // The former retry-attempt draw, kept for the same reason.
+  static_cast<void>(meta.uniform_int(1, 3));
 
   s.plan.seed = static_cast<std::uint64_t>(meta.uniform_int(1, 1 << 20));
   for (std::size_t i = 0; i < kNodes; ++i) {

@@ -262,8 +262,6 @@ InjectedRun run_injected_fleet(std::size_t num_threads) {
   runtime::FleetConfig cfg;
   cfg.mea.warning_threshold = 0.72;
   cfg.mea.action_cooldown = 600.0;
-  cfg.mea.retry.max_attempts = 3;
-  cfg.mea.retry.backoff_initial = 120.0;
   cfg.num_threads = num_threads;
 
   runtime::FleetController fleet(

@@ -247,8 +247,6 @@ Artifacts run_fleet(const RunSpec& spec) {
   cfg.mea.windows = geometry();
   cfg.mea.warning_threshold = 0.6;
   cfg.mea.action_cooldown = 600.0;
-  cfg.mea.retry.max_attempts = 3;
-  cfg.mea.retry.backoff_initial = 120.0;
   cfg.num_threads = spec.threads;
   cfg.scheduler = spec.scheduler;
   cfg.num_shards = spec.num_shards;

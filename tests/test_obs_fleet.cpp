@@ -406,8 +406,6 @@ TEST(ObsFleet, InjectedFaultCountersMatchInjectorStats) {
   runtime::FleetConfig cfg;
   cfg.mea.warning_threshold = 0.72;
   cfg.mea.action_cooldown = 600.0;
-  cfg.mea.retry.max_attempts = 3;
-  cfg.mea.retry.backoff_initial = 120.0;
   cfg.num_threads = 2;
   cfg.obs = &hub;
 

@@ -389,7 +389,7 @@ QualityRun run_quality_scp_fleet(std::size_t num_threads, bool enable_quality,
   cfg.scheduler = scheduler;
   cfg.num_shards = num_shards;
   cfg.epoch_ticks = 4;
-  cfg.quality.enabled = enable_quality;
+  cfg.quality = enable_quality;
   cfg.obs = &hub;
   auto nodes = runtime::make_scp_fleet(scp_config(), kNodes);
   const auto idx = *nodes.front()->trace().schema().index("mem_pressure_max");
@@ -413,7 +413,7 @@ QualityRun run_quality_scp_fleet(std::size_t num_threads, bool enable_quality,
         hub.metrics().gauge("pfm_quality_measured_availability").value();
     out.drift_gauge =
         hub.metrics().gauge("pfm_quality_availability_drift").value();
-    ctmc::PfmModelParams params = cfg.quality.model;
+    ctmc::PfmModelParams params;
     params.quality = ctmc::clamped_quality(
         out.combined_windowed.precision(), out.combined_windowed.recall(),
         out.combined_windowed.false_positive_rate());

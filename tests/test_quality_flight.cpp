@@ -167,10 +167,8 @@ std::string run_hostile_fleet(std::size_t num_threads) {
   runtime::FleetConfig cfg;
   cfg.mea.warning_threshold = 0.72;
   cfg.mea.action_cooldown = 600.0;
-  cfg.mea.retry.max_attempts = 3;
-  cfg.mea.retry.backoff_initial = 120.0;
   cfg.num_threads = num_threads;
-  cfg.quality.enabled = true;  // the scoreboard rides along
+  cfg.quality = true;  // the scoreboard rides along
   cfg.obs = &hub;
 
   auto nodes = runtime::make_scp_fleet(scp_config(), kNodes);

@@ -231,72 +231,47 @@ TEST(Resilience, RestartedNodeCanBeQuarantinedAgainByItsOwnFaults) {
   EXPECT_GE(t.resilience.node_faults, 2u) << "both incarnations crashed";
 }
 
-TEST(Resilience, DisabledResilienceFailsFast) {
-  inj::FaultPlan plan;
-  plan.nodes[0].crash_at = 3600.0;
-  inj::FaultInjector injector(plan);
-
+TEST(Resilience, FaultFreeRunEngagesNoHardening) {
   runtime::FleetConfig cfg;
-  cfg.resilience.enabled = false;
-  runtime::FleetController fleet(
-      injector.wrap_fleet(runtime::make_scp_fleet(sim_config(), 2)), cfg);
+  cfg.mea.warning_threshold = 0.72;
+  cfg.mea.action_cooldown = 600.0;
+  cfg.num_threads = 2;
+  runtime::FleetController fleet(runtime::make_scp_fleet(sim_config(), 4),
+                                 cfg);
   fleet.add_symptom_predictor(
       std::make_shared<PressurePredictor>(pressure_index()));
-  EXPECT_THROW(fleet.run(), inj::NodeCrashError);
-}
+  fleet.add_action([] {
+    return std::make_unique<act::StateCleanupAction>(0.70);
+  });
+  fleet.run();
 
-TEST(Resilience, FaultFreeRunIsIdenticalWithAndWithoutHardening) {
-  auto run_one = [&](bool hardened) {
-    runtime::FleetConfig cfg;
-    cfg.mea.warning_threshold = 0.72;
-    cfg.mea.action_cooldown = 600.0;
-    cfg.num_threads = 2;
-    cfg.resilience.enabled = hardened;
-    runtime::FleetController fleet(runtime::make_scp_fleet(sim_config(), 4),
-                                   cfg);
-    fleet.add_symptom_predictor(
-        std::make_shared<PressurePredictor>(pressure_index()));
-    fleet.add_action([] {
-      return std::make_unique<act::StateCleanupAction>(0.70);
-    });
-    fleet.run();
-    return fleet.telemetry();
-  };
-
-  const auto on = run_one(true);
-  const auto off = run_one(false);
-  EXPECT_EQ(on.rounds, off.rounds);
-  EXPECT_EQ(on.scores_computed, off.scores_computed);
-  EXPECT_EQ(on.warnings_raised, off.warnings_raised);
-  EXPECT_EQ(on.mea.total_actions(), off.mea.total_actions());
-  EXPECT_DOUBLE_EQ(on.system.downtime, off.system.downtime);
-  EXPECT_EQ(on.system.total_requests, off.system.total_requests);
+  const auto t = fleet.telemetry();
+  EXPECT_GT(t.mea.total_actions(), 0u) << "the loop acted";
   // Hardening engaged nothing.
-  EXPECT_EQ(on.resilience.node_faults, 0u);
-  EXPECT_EQ(on.resilience.predictor_faults, 0u);
-  EXPECT_EQ(on.resilience.scores_sanitized, 0u);
-  EXPECT_EQ(on.resilience.breaker_trips, 0u);
-  EXPECT_EQ(on.mea.action_faults, 0u);
+  EXPECT_EQ(t.resilience.node_faults, 0u);
+  EXPECT_EQ(t.resilience.predictor_faults, 0u);
+  EXPECT_EQ(t.resilience.scores_sanitized, 0u);
+  EXPECT_EQ(t.resilience.breaker_trips, 0u);
+  EXPECT_EQ(t.mea.action_faults, 0u);
 }
 
 // --- circuit breaker --------------------------------------------------------
 
 TEST(Resilience, BreakerTripsSitsOutAndHalfOpensBackToHealthy) {
-  // Scripted: the flaky predictor emits NaN for its first 2 scored calls,
-  // then behaves. trip_failures=2, open_rounds=3:
-  //   rounds 1-2  faulty -> breaker opens (trip #1)
-  //   rounds 3-5  sits out (no scored calls)
-  //   round  6    half-open probe -> healthy -> breaker closes
-  //   round  7+   scored normally
+  // Scripted: the flaky predictor emits NaN for its first 3 scored calls,
+  // then behaves. A breaker trips after 3 faulty ticks and sits out 8:
+  //   rounds 1-2   faulty, breaker still closed
+  //   round  3     faulty -> breaker opens (trip #1)
+  //   rounds 4-11  sits out (no scored calls)
+  //   round  12    half-open probe -> healthy -> breaker closes
+  //   round  13+   scored normally
   const double interval = 60.0;
   runtime::FleetConfig cfg;
   cfg.mea.evaluation_interval = interval;
   cfg.mea.warning_threshold = 0.72;
-  cfg.resilience.breaker_trip_failures = 2;
-  cfg.resilience.breaker_open_rounds = 3;
 
   auto scripted = std::make_shared<ScriptedPredictor>(
-      std::numeric_limits<double>::quiet_NaN(), 0.0, 2);
+      std::numeric_limits<double>::quiet_NaN(), 0.0, 3);
   runtime::FleetController fleet(runtime::make_scp_fleet(sim_config(), 2),
                                  cfg);
   fleet.add_symptom_predictor(scripted);
@@ -309,21 +284,26 @@ TEST(Resilience, BreakerTripsSitsOutAndHalfOpensBackToHealthy) {
 
   run_rounds(2);
   EXPECT_EQ(scripted->calls(), 2u);
+  EXPECT_FALSE(fleet.predictor_tripped(0)) << "2 faulty rounds do not trip";
+  EXPECT_EQ(fleet.telemetry().resilience.breaker_trips, 0u);
+
+  run_rounds(1);
+  EXPECT_EQ(scripted->calls(), 3u);
   EXPECT_TRUE(fleet.predictor_tripped(0));
   EXPECT_FALSE(fleet.predictor_tripped(1)) << "healthy predictor unaffected";
   EXPECT_EQ(fleet.telemetry().resilience.breaker_trips, 1u);
 
-  run_rounds(3);  // cooldown: the tripped predictor is not scored at all
-  EXPECT_EQ(scripted->calls(), 2u);
+  run_rounds(8);  // cooldown: the tripped predictor is not scored at all
+  EXPECT_EQ(scripted->calls(), 3u);
   EXPECT_TRUE(fleet.predictor_tripped(0));
   EXPECT_EQ(fleet.telemetry().resilience.breakers_open, 1u);
 
   run_rounds(1);  // half-open probe; the predictor is healthy again
-  EXPECT_EQ(scripted->calls(), 3u);
+  EXPECT_EQ(scripted->calls(), 4u);
   EXPECT_FALSE(fleet.predictor_tripped(0));
 
   run_rounds(2);  // closed: scored every round again
-  EXPECT_EQ(scripted->calls(), 5u);
+  EXPECT_EQ(scripted->calls(), 6u);
   EXPECT_EQ(fleet.telemetry().resilience.breaker_trips, 1u);
   EXPECT_EQ(fleet.telemetry().resilience.breakers_open, 0u);
 }
@@ -332,13 +312,11 @@ TEST(Resilience, FailedProbeReopensTheBreaker) {
   const double interval = 60.0;
   runtime::FleetConfig cfg;
   cfg.mea.evaluation_interval = interval;
-  cfg.resilience.breaker_trip_failures = 1;
-  cfg.resilience.breaker_open_rounds = 2;
 
-  // Faulty for its first 2 scored calls: call 1 trips it, the probe
-  // (call 2) fails and re-opens it, the next probe (call 3) heals it.
+  // Faulty for its first 4 scored calls: calls 1-3 trip it, the probe
+  // (call 4) fails and re-opens it, the next probe (call 5) heals it.
   auto scripted = std::make_shared<ScriptedPredictor>(
-      std::numeric_limits<double>::quiet_NaN(), 0.0, 2);
+      std::numeric_limits<double>::quiet_NaN(), 0.0, 4);
   runtime::FleetController fleet(runtime::make_scp_fleet(sim_config(), 1),
                                  cfg);
   fleet.add_symptom_predictor(scripted);
@@ -347,18 +325,21 @@ TEST(Resilience, FailedProbeReopensTheBreaker) {
     fleet.run_until(fleet.telemetry().rounds * interval + rounds * interval);
   };
 
+  run_rounds(2);
+  EXPECT_FALSE(fleet.predictor_tripped(0)) << "2 faulty rounds do not trip";
   run_rounds(1);  // trip #1
   EXPECT_TRUE(fleet.predictor_tripped(0));
-  run_rounds(2);  // sit out
-  EXPECT_EQ(scripted->calls(), 1u);
+  EXPECT_EQ(fleet.telemetry().resilience.breaker_trips, 1u);
+  run_rounds(8);  // sit out
+  EXPECT_EQ(scripted->calls(), 3u);
   run_rounds(1);  // probe fails -> re-open (trip #2)
-  EXPECT_EQ(scripted->calls(), 2u);
+  EXPECT_EQ(scripted->calls(), 4u);
   EXPECT_TRUE(fleet.predictor_tripped(0));
   EXPECT_EQ(fleet.telemetry().resilience.breaker_trips, 2u);
-  run_rounds(2);  // sit out again
-  EXPECT_EQ(scripted->calls(), 2u);
+  run_rounds(8);  // sit out again
+  EXPECT_EQ(scripted->calls(), 4u);
   run_rounds(1);  // probe succeeds -> closed
-  EXPECT_EQ(scripted->calls(), 3u);
+  EXPECT_EQ(scripted->calls(), 5u);
   EXPECT_FALSE(fleet.predictor_tripped(0));
 }
 
@@ -370,11 +351,9 @@ TEST(Resilience, ActionRetriesFollowTheBoundedSchedule) {
 
   core::MeaConfig cfg;
   cfg.action_cooldown = 0.0;
-  cfg.retry.max_attempts = 3;
-  cfg.retry.backoff_initial = 100.0;
-  cfg.retry.backoff_max = 400.0;
 
-  // Fails twice, then succeeds: one execution, two retries, no abandon.
+  // Fails twice, then succeeds on the third and last try: one
+  // execution, two retries, no abandon.
   auto flaky = std::make_unique<FlakyAction>(2);
   auto* flaky_ptr = flaky.get();
   core::ActEngine engine;
@@ -399,57 +378,40 @@ TEST(Resilience, AbandonedActionsBackOffExponentially) {
 
   core::MeaConfig cfg;
   cfg.action_cooldown = 0.0;
-  cfg.retry.max_attempts = 2;
-  cfg.retry.backoff_initial = 100.0;
-  cfg.retry.backoff_max = 400.0;
 
   auto always_failing = std::make_unique<FlakyAction>(1000000);
   auto* action = always_failing.get();
   core::ActEngine engine;
   engine.add_action(std::move(always_failing));
   core::MeaStats stats;
+  const auto backoff_until = [&] {
+    return engine.backoff_until(act::ActionKind::kPreparedRepair);
+  };
 
-  // Abandon #1 at t=600: schedule 100 * 2^0.
+  // Abandon #1 at t=600 after 3 tries: backed off 120 * 2^0.
   engine.act(system, 0.9, cfg, stats);
-  EXPECT_EQ(action->attempts(), 2u);
+  EXPECT_EQ(action->attempts(), 3u);
   EXPECT_EQ(stats.actions_abandoned, 1u);
-  EXPECT_DOUBLE_EQ(engine.backoff_until(act::ActionKind::kPreparedRepair),
-                   700.0);
+  EXPECT_DOUBLE_EQ(backoff_until(), 720.0);
 
   // Still backed off: no further attempts.
   engine.act(system, 0.9, cfg, stats);
-  EXPECT_EQ(action->attempts(), 2u);
+  EXPECT_EQ(action->attempts(), 3u);
 
-  // Abandon #2 at t=800: schedule doubles to 200.
-  system.step_to(800.0);
-  engine.act(system, 0.9, cfg, stats);
-  EXPECT_EQ(action->attempts(), 4u);
-  EXPECT_DOUBLE_EQ(engine.backoff_until(act::ActionKind::kPreparedRepair),
-                   1000.0);
-
-  // Abandon #3 at t=1000: 400. Abandon #4 at t=1500: capped at 400.
-  system.step_to(1000.0);
-  engine.act(system, 0.9, cfg, stats);
-  EXPECT_DOUBLE_EQ(engine.backoff_until(act::ActionKind::kPreparedRepair),
-                   1400.0);
-  system.step_to(1500.0);
-  engine.act(system, 0.9, cfg, stats);
-  EXPECT_DOUBLE_EQ(engine.backoff_until(act::ActionKind::kPreparedRepair),
-                   1900.0);
-  EXPECT_EQ(stats.actions_abandoned, 4u);
-  EXPECT_EQ(stats.action_retries, 4u);
-  EXPECT_EQ(stats.action_faults, 8u);
-}
-
-TEST(Resilience, RetryPolicyCanRethrow) {
-  runtime::ScpManagedSystem system{sim_config()};
-  system.step_to(600.0);
-  core::MeaConfig cfg;
-  cfg.retry.rethrow = true;
-  core::ActEngine engine;
-  engine.add_action(std::make_unique<FlakyAction>(10));
-  core::MeaStats stats;
-  EXPECT_THROW(engine.act(system, 0.9, cfg, stats), std::runtime_error);
+  // Each further abandon doubles the backoff: 240, 480, 960, 1920, then
+  // 3840 is capped at 3600.
+  const double abandon_at[] = {800.0, 1100.0, 1600.0, 2600.0, 4600.0};
+  const double expected_until[] = {1040.0, 1580.0, 2560.0, 4520.0, 8200.0};
+  for (std::size_t n = 0; n < 5; ++n) {
+    system.step_to(abandon_at[n]);
+    engine.act(system, 0.9, cfg, stats);
+    EXPECT_EQ(action->attempts(), 3u * (n + 2)) << "abandon #" << n + 2;
+    EXPECT_DOUBLE_EQ(backoff_until(), expected_until[n])
+        << "abandon #" << n + 2;
+  }
+  EXPECT_EQ(stats.actions_abandoned, 6u);
+  EXPECT_EQ(stats.action_retries, 12u);
+  EXPECT_EQ(stats.action_faults, 18u);
 }
 
 // --- NaN / inf sanitization -------------------------------------------------

@@ -51,9 +51,6 @@ TEST(SchedulePolicy, ValidateRejectsBadKnobs) {
   policy.max_gap = 4;
   policy.hot_score_fraction = -0.1;
   EXPECT_THROW(policy.validate(), std::invalid_argument);
-  policy.hot_score_fraction = 0.5;
-  policy.hot_urgency = -1.0;
-  EXPECT_THROW(policy.validate(), std::invalid_argument);
 }
 
 TEST(CalendarQueue, PopsTicksInOrderWithSortedDueSets) {
