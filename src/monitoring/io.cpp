@@ -1,7 +1,10 @@
 #include "monitoring/io.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -28,6 +31,29 @@ double parse_number(const std::string& s, std::size_t line_no) {
     throw std::invalid_argument("trace csv line " + std::to_string(line_no) +
                                 ": bad number '" + s + "'");
   }
+}
+
+/// A timestamp: any finite number.
+double parse_time(const std::string& s, std::size_t line_no) {
+  const double v = parse_number(s, line_no);
+  if (!std::isfinite(v)) {
+    throw std::invalid_argument("trace csv line " + std::to_string(line_no) +
+                                ": non-finite time '" + s + "'");
+  }
+  return v;
+}
+
+/// An event id, component or severity: an integral number in int32 range.
+/// Casting anything else would truncate it or be undefined behaviour.
+std::int32_t parse_int32(const std::string& s, std::size_t line_no) {
+  const double v = parse_number(s, line_no);
+  constexpr double kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr double kMax = std::numeric_limits<std::int32_t>::max();
+  if (!(v >= kMin && v <= kMax) || v != std::trunc(v)) {
+    throw std::invalid_argument("trace csv line " + std::to_string(line_no) +
+                                ": not a 32-bit integer '" + s + "'");
+  }
+  return static_cast<std::int32_t>(v);
 }
 
 }  // namespace
@@ -81,7 +107,7 @@ MonitoringDataset read_csv(std::istream& in) {
                                     ": sample arity mismatch");
       }
       SymptomSample s;
-      s.time = parse_number(fields[1], line_no);
+      s.time = parse_time(fields[1], line_no);
       s.values.reserve(dataset.schema().size());
       for (std::size_t i = 2; i < fields.size(); ++i) {
         s.values.push_back(parse_number(fields[i], line_no));
@@ -94,11 +120,10 @@ MonitoringDataset read_csv(std::istream& in) {
                                     ": event arity mismatch");
       }
       ErrorEvent e;
-      e.time = parse_number(fields[1], line_no);
-      e.event_id = static_cast<std::int32_t>(parse_number(fields[2], line_no));
-      e.component =
-          static_cast<std::int32_t>(parse_number(fields[3], line_no));
-      e.severity = static_cast<std::int32_t>(parse_number(fields[4], line_no));
+      e.time = parse_time(fields[1], line_no);
+      e.event_id = parse_int32(fields[2], line_no);
+      e.component = parse_int32(fields[3], line_no);
+      e.severity = parse_int32(fields[4], line_no);
       dataset.add_event(e);
     } else if (tag == "f") {
       if (fields.size() != 2) {
@@ -106,7 +131,7 @@ MonitoringDataset read_csv(std::istream& in) {
                                     std::to_string(line_no) +
                                     ": failure arity mismatch");
       }
-      dataset.add_failure(parse_number(fields[1], line_no));
+      dataset.add_failure(parse_time(fields[1], line_no));
     } else {
       throw std::invalid_argument("trace csv line " + std::to_string(line_no) +
                                   ": unknown record tag '" + tag + "'");

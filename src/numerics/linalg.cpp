@@ -97,15 +97,31 @@ std::vector<double> least_squares(const Matrix& a, std::span<const double> b,
   if (a.rows() != b.size()) {
     throw std::invalid_argument("least_squares: size mismatch");
   }
-  const Matrix at = a.transposed();
-  Matrix ata = at * a;
+  // A^T A and A^T b in one pass over the rows of A, the upper triangle
+  // mirrored. Entry (i, j) sums a(r, i) * a(r, j) over rows r in order,
+  // skipping a(r, i) == 0, and A^T b sums a(r, i) * b(r) in order: the same
+  // products in the same order as at * a and at.apply(b).
+  const std::size_t m = a.cols();
+  Matrix ata(m, m);
+  std::vector<double> atb(m, 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const auto row = a.row(r);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double ri = row[i];
+      atb[i] += ri * b[r];
+      if (ri == 0.0) continue;
+      for (std::size_t j = i; j < m; ++j) ata(i, j) += ri * row[j];
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < i; ++j) ata(i, j) = ata(j, i);
+  }
   if (ridge > 0.0) {
     double trace = 0.0;
     for (std::size_t i = 0; i < ata.rows(); ++i) trace += ata(i, i);
     const double damp = ridge * (trace / static_cast<double>(ata.rows()) + 1.0);
     for (std::size_t i = 0; i < ata.rows(); ++i) ata(i, i) += damp;
   }
-  const std::vector<double> atb = at.apply(b);
   return solve(ata, atb);
 }
 

@@ -62,6 +62,7 @@ void Hsmm::train(const std::vector<HsmmSequence>& sequences) {
   };
   Params best;
   double best_ll = -1e300;
+  std::vector<double> density, alpha, beta, scale, xi(ns * ns);
   constexpr int kRestarts = 3;
   for (int restart = 0; restart < kRestarts; ++restart) {
     num::Rng rng(config_.seed + 7919ULL * static_cast<std::uint64_t>(restart));
@@ -106,7 +107,10 @@ void Hsmm::train(const std::vector<HsmmSequence>& sequences) {
   }
   trained_ = true;  // parameters exist from here on
 
-  // Baum-Welch.
+  // Baum-Welch. Per sequence, the E-step tabulates observation_density
+  // once (T x ns) and keeps alpha, beta and the scales in flat buffers
+  // reused across sequences and iterations; every product below is formed
+  // in the same operand order as the untabulated recursion.
   for (std::size_t iter = 0; iter < config_.em_iterations; ++iter) {
     std::vector<double> pi_acc(ns, config_.smoothing);
     num::Matrix a_acc(ns, ns, config_.smoothing);
@@ -117,51 +121,64 @@ void Hsmm::train(const std::vector<HsmmSequence>& sequences) {
     for (const auto* seq_ptr : usable) {
       const auto& seq = *seq_ptr;
       const std::size_t T = seq.size();
+      density.resize(T * ns);
+      alpha.resize(T * ns);
+      beta.resize(T * ns);
+      scale.assign(T, 0.0);
+      for (std::size_t t = 0; t < T; ++t) {
+        for (std::size_t s = 0; s < ns; ++s) {
+          density[t * ns + s] = observation_density(s, seq[t]);
+        }
+      }
 
       // Scaled forward.
-      std::vector<std::vector<double>> alpha(T, std::vector<double>(ns));
-      std::vector<double> scale(T, 0.0);
       for (std::size_t s = 0; s < ns; ++s) {
-        alpha[0][s] = initial_[s] * observation_density(s, seq[0]);
-        scale[0] += alpha[0][s];
+        alpha[s] = initial_[s] * density[s];
+        scale[0] += alpha[s];
       }
       if (scale[0] <= 0.0) continue;
-      for (double& v : alpha[0]) v /= scale[0];
+      for (std::size_t s = 0; s < ns; ++s) alpha[s] /= scale[0];
       for (std::size_t t = 1; t < T; ++t) {
+        const double* prev = &alpha[(t - 1) * ns];
+        double* cur = &alpha[t * ns];
         for (std::size_t s = 0; s < ns; ++s) {
           double acc = 0.0;
           for (std::size_t r = 0; r < ns; ++r) {
-            acc += alpha[t - 1][r] * transition_(r, s);
+            acc += prev[r] * transition_(r, s);
           }
-          alpha[t][s] = acc * observation_density(s, seq[t]);
-          scale[t] += alpha[t][s];
+          cur[s] = acc * density[t * ns + s];
+          scale[t] += cur[s];
         }
         if (scale[t] <= 0.0) {
           scale[t] = kDensityFloor;
         }
-        for (double& v : alpha[t]) v /= scale[t];
+        for (std::size_t s = 0; s < ns; ++s) cur[s] /= scale[t];
       }
 
       // Scaled backward.
-      std::vector<std::vector<double>> beta(T, std::vector<double>(ns, 1.0));
+      std::fill(beta.begin() + static_cast<std::ptrdiff_t>((T - 1) * ns),
+                beta.end(), 1.0);
       for (std::size_t t = T - 1; t-- > 0;) {
+        const double* next_density = &density[(t + 1) * ns];
+        const double* next_beta = &beta[(t + 1) * ns];
         for (std::size_t s = 0; s < ns; ++s) {
           double acc = 0.0;
           for (std::size_t r = 0; r < ns; ++r) {
-            acc += transition_(s, r) * observation_density(r, seq[t + 1]) *
-                   beta[t + 1][r];
+            acc += transition_(s, r) * next_density[r] * next_beta[r];
           }
-          beta[t][s] = acc / scale[t + 1];
+          beta[t * ns + s] = acc / scale[t + 1];
         }
       }
 
       // Accumulate expected counts.
       for (std::size_t t = 0; t < T; ++t) {
+        const double* a_t = &alpha[t * ns];
+        const double* b_t = &beta[t * ns];
         double norm = 0.0;
-        for (std::size_t s = 0; s < ns; ++s) norm += alpha[t][s] * beta[t][s];
+        for (std::size_t s = 0; s < ns; ++s) norm += a_t[s] * b_t[s];
         if (norm <= 0.0) continue;
         for (std::size_t s = 0; s < ns; ++s) {
-          const double gamma = alpha[t][s] * beta[t][s] / norm;
+          const double gamma = a_t[s] * b_t[s] / norm;
           if (t == 0) pi_acc[s] += gamma;
           b_acc(s, seq[t].symbol) += gamma;
           if (seq[t].gap > 0.0) {
@@ -170,19 +187,23 @@ void Hsmm::train(const std::vector<HsmmSequence>& sequences) {
           }
         }
         if (t + 1 < T) {
+          // Each xi product once: summed into its normaliser, then divided
+          // by it.
+          const double* next_density = &density[(t + 1) * ns];
+          const double* next_beta = &beta[(t + 1) * ns];
           double xi_norm = 0.0;
           for (std::size_t s = 0; s < ns; ++s) {
             for (std::size_t r = 0; r < ns; ++r) {
-              xi_norm += alpha[t][s] * transition_(s, r) *
-                         observation_density(r, seq[t + 1]) * beta[t + 1][r];
+              const double x =
+                  a_t[s] * transition_(s, r) * next_density[r] * next_beta[r];
+              xi[s * ns + r] = x;
+              xi_norm += x;
             }
           }
           if (xi_norm <= 0.0) continue;
           for (std::size_t s = 0; s < ns; ++s) {
             for (std::size_t r = 0; r < ns; ++r) {
-              a_acc(s, r) += alpha[t][s] * transition_(s, r) *
-                             observation_density(r, seq[t + 1]) *
-                             beta[t + 1][r] / xi_norm;
+              a_acc(s, r) += xi[s * ns + r] / xi_norm;
             }
           }
         }

@@ -17,11 +17,31 @@ namespace pfm::pred {
 
 namespace {
 
-/// A class-stratified design set: scaled feature rows plus binary labels.
+/// A class-stratified design set: scaled feature rows (row-major, `dim`
+/// columns) plus binary labels.
 struct DesignSet {
-  std::vector<std::vector<double>> x;
+  std::vector<double> x;
+  std::size_t dim = 0;
   std::vector<int> y;
+
+  std::size_t rows() const noexcept { return y.size(); }
+  std::span<const double> row(std::size_t i) const {
+    return {x.data() + i * dim, dim};
+  }
 };
+
+/// Copies the given columns of `all` into `out`, reusing its storage.
+void gather_columns(const DesignSet& all, std::span<const std::size_t> cols,
+                    DesignSet& out) {
+  out.dim = cols.size();
+  out.y = all.y;
+  out.x.resize(all.rows() * cols.size());
+  double* dst = out.x.data();
+  for (std::size_t i = 0; i < all.rows(); ++i) {
+    const double* src = all.x.data() + i * all.dim;
+    for (std::size_t c : cols) *dst++ = src[c];
+  }
+}
 
 double distance(std::span<const double> a, std::span<const double> b) {
   double s = 0.0;
@@ -37,17 +57,14 @@ double distance(std::span<const double> a, std::span<const double> b) {
 /// AUC (0.5 when degenerate).
 double quick_fit_auc(const DesignSet& train, const DesignSet& val,
                      std::size_t num_kernels, double ridge, num::Rng& rng) {
-  const std::size_t n = train.x.size();
-  if (n < 4 || val.x.empty()) return 0.5;
-  const std::size_t dim = train.x.front().size();
+  const std::size_t n = train.rows();
+  if (n < 4 || val.rows() == 0) return 0.5;
+  const std::size_t dim = train.dim;
   if (dim == 0) return 0.5;
   const std::size_t k = std::min(num_kernels, n / 2);
   if (k == 0) return 0.5;
 
-  std::vector<double> flat;
-  flat.reserve(n * dim);
-  for (const auto& row : train.x) flat.insert(flat.end(), row.begin(), row.end());
-  const auto km = num::kmeans(flat, dim, k, rng, 30);
+  const auto km = num::kmeans(train.x, dim, k, rng, 30);
 
   // Width: mean distance between centers (or 1.0 for a single kernel).
   double width = 0.0;
@@ -72,7 +89,7 @@ double quick_fit_auc(const DesignSet& train, const DesignSet& val,
   std::vector<double> row(k + 1);
   std::vector<double> b(n);
   for (std::size_t i = 0; i < n; ++i) {
-    design_row(train.x[i], row);
+    design_row(train.row(i), row);
     for (std::size_t j = 0; j <= k; ++j) a(i, j) = row[j];
     b[i] = static_cast<double>(train.y[i]);
   }
@@ -83,9 +100,9 @@ double quick_fit_auc(const DesignSet& train, const DesignSet& val,
     return 0.5;
   }
 
-  std::vector<double> scores(val.x.size());
-  for (std::size_t i = 0; i < val.x.size(); ++i) {
-    design_row(val.x[i], row);
+  std::vector<double> scores(val.rows());
+  for (std::size_t i = 0; i < val.rows(); ++i) {
+    design_row(val.row(i), row);
     scores[i] = num::dot(row, w);
   }
   try {
@@ -115,7 +132,10 @@ std::string UbfPredictor::name() const {
 
 double UbfPredictor::evaluate_kernel(const Kernel& k,
                                      std::span<const double> x) const {
-  const double d = distance(x, k.center);
+  return kernel_at(k, distance(x, k.center));
+}
+
+double UbfPredictor::kernel_at(const Kernel& k, double d) const {
   const double w = std::max(k.width, 1e-6);
   // Eq. 1: mixture of a Gaussian "peak" and a sigmoidal "step" over the
   // distance to the kernel center.
@@ -151,38 +171,6 @@ void UbfPredictor::train(const mon::MonitoringDataset& data) {
   num_raw_vars_ = data.schema().size();
   auto windows = data.labeled_windows(config_.windows.lead_time,
                                       config_.windows.prediction_window);
-  if (config_.include_trend_features) {
-    // Append the trailing slope of every variable, regressed over the data
-    // window ending at each sample.
-    const auto samples = data.samples();
-    std::size_t begin = 0;  // first sample inside the current window
-    std::vector<double> t_buf, v_buf;
-    for (std::size_t wi = 0; wi < windows.size(); ++wi) {
-      const double t = windows[wi].time;
-      while (begin < samples.size() &&
-             samples[begin].time <= t - config_.windows.data_window) {
-        ++begin;
-      }
-      // Index of the sample at this window's time.
-      std::size_t end = begin;
-      while (end < samples.size() && samples[end].time < t) ++end;
-      const std::size_t count = end - begin + 1;
-      windows[wi].features.resize(2 * num_raw_vars_);
-      for (std::size_t j = 0; j < num_raw_vars_; ++j) {
-        double slope = 0.0;
-        if (count >= 2 && end < samples.size()) {
-          t_buf.clear();
-          v_buf.clear();
-          for (std::size_t s = begin; s <= end; ++s) {
-            t_buf.push_back(samples[s].time);
-            v_buf.push_back(samples[s].values[j]);
-          }
-          slope = num::fit_line(t_buf, v_buf).slope;
-        }
-        windows[wi].features[num_raw_vars_ + j] = slope;
-      }
-    }
-  }
   std::size_t positives = 0;
   for (const auto& w : windows) positives += w.failure_follows ? 1 : 0;
   if (windows.empty() || positives == 0 || positives == windows.size()) {
@@ -223,42 +211,86 @@ void UbfPredictor::train(const mon::MonitoringDataset& data) {
   make_split(pos_idx, train_idx, val_idx);
   make_split(neg_idx, train_idx, val_idx);
 
-  // Global per-variable scaling learned on the training part.
-  std::vector<double> lo(num_vars, 1e300), hi(num_vars, -1e300);
-  for (std::size_t i : train_idx) {
-    for (std::size_t j = 0; j < num_vars; ++j) {
-      lo[j] = std::min(lo[j], windows[i].features[j]);
-      hi[j] = std::max(hi[j], windows[i].features[j]);
-    }
-  }
-
-  auto build_sets = [&](const std::vector<std::size_t>& subset,
-                        const std::vector<std::size_t>& idx) {
+  // One row per sub-sampled window: its levels, then (with trend
+  // features) the trailing slope of every variable, regressed over the
+  // data window ending at the window's sample. Only these rows are ever
+  // read, so the labelled windows are released once they are built.
+  const auto samples = data.samples();
+  std::vector<double> t_buf, v_buf;
+  auto feature_rows = [&](const std::vector<std::size_t>& idx) {
     DesignSet set;
-    set.x.reserve(idx.size());
+    set.dim = num_vars;
+    set.x.reserve(idx.size() * num_vars);
     set.y.reserve(idx.size());
     for (std::size_t i : idx) {
-      std::vector<double> row(subset.size());
-      for (std::size_t j = 0; j < subset.size(); ++j) {
-        const double range = hi[subset[j]] - lo[subset[j]];
-        row[j] = range > 0.0
-                     ? (windows[i].features[subset[j]] - lo[subset[j]]) / range
-                     : 0.5;
+      const auto& w = windows[i];
+      set.x.insert(set.x.end(), w.features.begin(), w.features.end());
+      set.y.push_back(w.failure_follows ? 1 : 0);
+      if (!config_.include_trend_features) continue;
+      // First sample inside the data window, and the sample at w.time.
+      const double t = w.time;
+      const auto first = std::partition_point(
+          samples.begin(), samples.end(), [&](const mon::SymptomSample& s) {
+            return s.time <= t - config_.windows.data_window;
+          });
+      const auto last = std::partition_point(
+          first, samples.end(),
+          [&](const mon::SymptomSample& s) { return s.time < t; });
+      const auto begin = static_cast<std::size_t>(first - samples.begin());
+      const auto end = static_cast<std::size_t>(last - samples.begin());
+      const std::size_t count = end - begin + 1;
+      for (std::size_t j = 0; j < num_raw_vars_; ++j) {
+        double slope = 0.0;
+        if (count >= 2 && end < samples.size()) {
+          t_buf.clear();
+          v_buf.clear();
+          for (std::size_t s = begin; s <= end; ++s) {
+            t_buf.push_back(samples[s].time);
+            v_buf.push_back(samples[s].values[j]);
+          }
+          slope = num::fit_line(t_buf, v_buf).slope;
+        }
+        set.x.push_back(slope);
       }
-      set.x.push_back(std::move(row));
-      set.y.push_back(windows[i].failure_follows ? 1 : 0);
     }
     return set;
   };
+  DesignSet train_all = feature_rows(train_idx);
+  DesignSet val_all = feature_rows(val_idx);
+  std::vector<mon::LabeledWindow>().swap(windows);
 
+  // Global per-variable scaling learned on the training part, applied to
+  // every row once.
+  std::vector<double> lo(num_vars, 1e300), hi(num_vars, -1e300);
+  for (std::size_t i = 0; i < train_all.rows(); ++i) {
+    const auto row = train_all.row(i);
+    for (std::size_t j = 0; j < num_vars; ++j) {
+      lo[j] = std::min(lo[j], row[j]);
+      hi[j] = std::max(hi[j], row[j]);
+    }
+  }
+  for (DesignSet* set : {&train_all, &val_all}) {
+    for (std::size_t i = 0; i < set->rows(); ++i) {
+      double* row = set->x.data() + i * num_vars;
+      for (std::size_t j = 0; j < num_vars; ++j) {
+        const double range = hi[j] - lo[j];
+        row[j] = range > 0.0 ? (row[j] - lo[j]) / range : 0.5;
+      }
+    }
+  }
+
+  // Each candidate subset is gathered once; both repetitions share it.
+  DesignSet subset_train, subset_val;
   auto evaluate_subset = [&](const std::vector<std::size_t>& subset) {
     if (subset.empty()) return 0.0;
-    const auto train_set = build_sets(subset, train_idx);
-    const auto val_set = build_sets(subset, val_idx);
+    gather_columns(train_all, subset, subset_train);
+    gather_columns(val_all, subset, subset_val);
     // Two repetitions with different center seeds halve the evaluation
     // noise the wrapper search must overcome.
-    const double a1 = quick_fit_auc(train_set, val_set, 6, config_.ridge, rng);
-    const double a2 = quick_fit_auc(train_set, val_set, 6, config_.ridge, rng);
+    const double a1 =
+        quick_fit_auc(subset_train, subset_val, 6, config_.ridge, rng);
+    const double a2 =
+        quick_fit_auc(subset_train, subset_val, 6, config_.ridge, rng);
     return 0.5 * (a1 + a2);
   };
 
@@ -441,15 +473,13 @@ void UbfPredictor::train(const mon::MonitoringDataset& data) {
   }
 
   // ---- kernel placement ------------------------------------------------------
-  const auto train_set = build_sets(selected_, train_idx);
-  const auto val_set = build_sets(selected_, val_idx);
+  DesignSet train_set, val_set;
+  gather_columns(train_all, selected_, train_set);
+  gather_columns(val_all, selected_, val_set);
   const std::size_t dim = selected_.size();
-  const std::size_t k = std::min(config_.num_kernels, train_set.x.size() / 2);
+  const std::size_t k = std::min(config_.num_kernels, train_set.rows() / 2);
 
-  std::vector<double> flat;
-  flat.reserve(train_set.x.size() * dim);
-  for (const auto& r : train_set.x) flat.insert(flat.end(), r.begin(), r.end());
-  const auto km = num::kmeans(flat, dim, k, rng, 50);
+  const auto km = num::kmeans(train_set.x, dim, k, rng, 50);
 
   kernels_.clear();
   kernels_.reserve(k);
@@ -459,9 +489,9 @@ void UbfPredictor::train(const mon::MonitoringDataset& data) {
     // Initial width: RMS distance of the kernel's assigned points.
     double acc = 0.0;
     std::size_t cnt = 0;
-    for (std::size_t n = 0; n < train_set.x.size(); ++n) {
+    for (std::size_t n = 0; n < train_set.rows(); ++n) {
       if (km.assignment[n] != i) continue;
-      const double d = distance(train_set.x[n], kn.center);
+      const double d = distance(train_set.row(n), kn.center);
       acc += d * d;
       ++cnt;
     }
@@ -471,23 +501,41 @@ void UbfPredictor::train(const mon::MonitoringDataset& data) {
     kernels_.push_back(std::move(kn));
   }
 
+  // The shape search moves widths and mixtures, never centers: every
+  // point-to-center distance is computed once, here.
+  auto center_distances = [&](const DesignSet& set) {
+    std::vector<double> d(set.rows() * k);
+    for (std::size_t i = 0; i < set.rows(); ++i) {
+      for (std::size_t j = 0; j < k; ++j) {
+        d[i * k + j] = distance(set.row(i), kernels_[j].center);
+      }
+    }
+    return d;
+  };
+  const std::vector<double> train_dist = center_distances(train_set);
+  const std::vector<double> val_dist = center_distances(val_set);
+
   // Solves output weights by ridge least squares for the current kernel
   // shapes and returns validation AUC.
   auto fit_weights_and_auc = [&]() {
-    const std::size_t n = train_set.x.size();
-    num::Matrix a(n, kernels_.size() + 1);
+    const std::size_t n = train_set.rows();
+    num::Matrix a(n, k + 1);
     std::vector<double> b(n);
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < kernels_.size(); ++j) {
-        a(i, j) = evaluate_kernel(kernels_[j], train_set.x[i]);
+      for (std::size_t j = 0; j < k; ++j) {
+        a(i, j) = kernel_at(kernels_[j], train_dist[i * k + j]);
       }
-      a(i, kernels_.size()) = 1.0;
+      a(i, k) = 1.0;
       b[i] = static_cast<double>(train_set.y[i]);
     }
     weights_ = num::least_squares(a, b, config_.ridge);
-    std::vector<double> scores(val_set.x.size());
-    for (std::size_t i = 0; i < val_set.x.size(); ++i) {
-      scores[i] = raw_score(val_set.x[i]);
+    std::vector<double> scores(val_set.rows());
+    for (std::size_t i = 0; i < val_set.rows(); ++i) {
+      double s = weights_.back();  // bias, then kernels in order: raw_score()
+      for (std::size_t j = 0; j < k; ++j) {
+        s += weights_[j] * kernel_at(kernels_[j], val_dist[i * k + j]);
+      }
+      scores[i] = s;
     }
     try {
       return eval::auc(scores, val_set.y);

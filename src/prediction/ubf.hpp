@@ -117,6 +117,8 @@ class UbfPredictor final : public SymptomPredictor {
   };
 
   double evaluate_kernel(const Kernel& k, std::span<const double> x) const;
+  /// Eq. 1 at distance d from the kernel center.
+  double kernel_at(const Kernel& k, double d) const;
   std::vector<double> features_of(std::span<const double> raw) const;
   double raw_score(std::span<const double> selected_features) const;
   /// Builds the augmented (level + slope) feature vector from a context.

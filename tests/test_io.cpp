@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "telecom/simulator.hpp"
 
@@ -110,6 +112,36 @@ TEST(TraceIo, MalformedInputRejected) {
     std::stringstream in("schema,x\ns,5.0,1.0\ns,1.0,1.0\n");
     EXPECT_THROW(read_csv(in), std::invalid_argument);
   }
+  // Integer fields must be integral and fit int32 (casting 1e20 would be
+  // undefined behaviour, nan would become INT_MIN, 2.5 would truncate);
+  // times must be finite. The error names the offending line.
+  for (const char* bad : {"e,1.0,1e20,0,0", "e,1.0,nan,0,0", "e,1.0,2.5,0,0",
+                          "s,nan,1.0", "f,inf"}) {
+    std::stringstream in(std::string("schema,x\n") + bad + "\n");
+    try {
+      read_csv(in);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
+}
+
+TEST(TraceIo, NanSymptomValueRoundTrips) {
+  // Corrupted samples carry NaN values; write_csv writes them as "nan" and
+  // read_csv must take them back.
+  MonitoringDataset ds(SymptomSchema({"load", "mem"}));
+  ds.add_sample({0.0, {std::nan(""), 4096.0}});
+  ds.add_event({1.0, -7, 0, 2});
+  std::stringstream buffer;
+  write_csv(ds, buffer);
+  const auto restored = read_csv(buffer);
+  ASSERT_EQ(restored.samples().size(), 1u);
+  EXPECT_TRUE(std::isnan(restored.samples()[0].values[0]));
+  EXPECT_EQ(restored.samples()[0].values[1], 4096.0);
+  ASSERT_EQ(restored.events().size(), 1u);
+  EXPECT_EQ(restored.events()[0].event_id, -7);
 }
 
 TEST(TraceIo, FileRoundTrip) {
