@@ -19,7 +19,6 @@
 #include "bench_common.hpp"
 #include "monitoring/types.hpp"
 #include "numerics/rng.hpp"
-#include "numerics/simd.hpp"
 #include "obs/observability.hpp"
 #include "prediction/baselines.hpp"
 #include "prediction/frozen.hpp"
@@ -78,14 +77,12 @@ TrainedBaselines train_baselines() {
 
 runtime::FleetTelemetry run_fleet(
     const TrainedBaselines& preds, std::size_t num_threads,
-    double* wall_seconds, obs::Observability* hub = nullptr,
-    pred::BatchKernel kernel = pred::BatchKernel::kScalar) {
+    double* wall_seconds, obs::Observability* hub = nullptr) {
   runtime::FleetConfig cfg;
   cfg.mea.windows = bench::case_study_windows();
   cfg.mea.evaluation_interval = 60.0;
   cfg.mea.warning_threshold = 0.6;
   cfg.num_threads = num_threads;
-  cfg.kernel = kernel;
   cfg.obs = hub;
 
   runtime::FleetController fleet(
@@ -365,88 +362,19 @@ void print_obs_overhead(const TrainedBaselines& preds) {
       .emit();
 }
 
-/// Scalar-vs-SIMD kernel arm: the same seeded fleet through both
-/// BatchKernel settings at the widest pool. Emits one JSON row per kernel
-/// carrying the run fingerprint (rounds/warnings/actions/availability),
-/// and aborts if the fingerprints diverge (kernels must differ in wall
-/// time only).
-void print_kernel_comparison(const TrainedBaselines& preds) {
-  std::printf("== fleet scoring kernel: scalar vs simd (8 threads) ==\n");
-  constexpr std::size_t kThreads = 8;
-  // Best-of-N keeps scheduler noise out of the reported walls.
-  const int reps = g_quick ? 2 : 3;
-
-  struct Arm {
-    pred::BatchKernel kernel;
-    const char* name;
-    double wall = 0.0;
-    runtime::FleetTelemetry telemetry;
-  };
-  Arm arms[] = {{pred::BatchKernel::kScalar, "scalar", 0.0, {}},
-                {pred::BatchKernel::kSimd, "simd", 0.0, {}}};
-  for (auto& arm : arms) {
-    for (int rep = 0; rep < reps; ++rep) {
-      double wall = 0.0;
-      arm.telemetry = run_fleet(preds, kThreads, &wall, nullptr, arm.kernel);
-      arm.wall = rep == 0 ? wall : std::min(arm.wall, wall);
-    }
-    const double steps_per_sec =
-        arm.wall > 0.0
-            ? static_cast<double>(arm.telemetry.rounds) / arm.wall
-            : 0.0;
-    std::printf("  %-10s wall %.3f s, %.0f steps/s, %zu warnings, "
-                "%zu actions, availability %.6f\n",
-                arm.name, arm.wall, steps_per_sec,
-                arm.telemetry.warnings_raised,
-                arm.telemetry.mea.total_actions(),
-                arm.telemetry.system.availability());
-    bench::JsonLine()
-        .field("bench", "fleet_kernel")
-        .field("kernel", arm.name)
-        .field("nodes", kFleetNodes)
-        .field("threads", kThreads)
-        .field("wall_seconds", arm.wall)
-        .field("steps_per_second", steps_per_sec)
-        .field("rounds", arm.telemetry.rounds)
-        .field("warnings", arm.telemetry.warnings_raised)
-        .field("actions", arm.telemetry.mea.total_actions())
-        .field("availability", arm.telemetry.system.availability())
-        .emit();
-  }
-  const Arm& ref = arms[0];
-  for (const Arm& arm : arms) {
-    if (ref.telemetry.rounds != arm.telemetry.rounds ||
-        ref.telemetry.warnings_raised != arm.telemetry.warnings_raised ||
-        ref.telemetry.mea.total_actions() !=
-            arm.telemetry.mea.total_actions() ||
-        ref.telemetry.system.availability() !=
-            arm.telemetry.system.availability()) {
-      std::fprintf(stderr,
-                   "FATAL: the %s kernel diverged from the scalar kernel — "
-                   "the kernels must differ in wall time only\n",
-                   arm.name);
-      std::exit(1);
-    }
-  }
-  std::printf("\n");
-}
-
-// --- SIMD kernel-sweep + frozen-serving arms ------------------------------
+// --- frozen-serving arm --------------------------------------------------
 //
-// The vectorized Eq. 1 mixture-kernel sweep against the scalar reference
-// over identical pre-gathered SoA columns, and the frozen-artifact
-// serving path against the live engine over the same model. The SIMD row
-// feeds the >=2x gate in tools/bench_to_json.py (skipped when only the
-// scalar backend is compiled in); the frozen row is a mmap-serving
-// sanity ratio, not a speedup claim — both predictors wrap the same
-// gather + sweep functions.
+// The frozen-artifact serving path against the live engine over the same
+// model: a mmap-serving sanity ratio, not a speedup claim — both
+// predictors wrap the same score_batch_soa. The row feeds the >= 0.7x
+// gate in tools/bench_to_json.py.
 
-/// Synthetic but well-formed mixture model (the same shape the SIMD
-/// conformance suite uses): width-derived constants built with the exact
-/// reference expressions, all-level features so one-sample contexts
-/// suffice for the serving arm.
-pred::MixtureModel make_sweep_model(num::Rng& rng, std::size_t num_kernels,
-                                    std::size_t dim) {
+/// Synthetic but well-formed mixture model: width-derived constants built
+/// with the exact reference expressions, all-level features so
+/// one-sample contexts suffice.
+pred::MixtureModel make_serving_model(num::Rng& rng,
+                                      std::size_t num_kernels,
+                                      std::size_t dim) {
   pred::MixtureModel m;
   m.name = "UBF";
   m.mixture_kernels = true;
@@ -486,52 +414,6 @@ double best_seconds_per_call(int iters, Fn&& fn) {
   return best;
 }
 
-void print_simd_sweep() {
-  constexpr std::size_t kKernels = 64;
-  constexpr std::size_t kDim = 8;
-  const std::size_t batch = g_quick ? 1024 : 4096;
-  const int iters = g_quick ? 20 : 50;
-
-  std::printf("== SIMD kernel sweep: '%s' backend vs scalar reference ==\n",
-              num::simd::backend_name());
-  num::Rng rng(2024);
-  const auto model = make_sweep_model(rng, kKernels, kDim);
-  const auto view = model.view();
-
-  pred::BatchScratch scratch;
-  pred::BatchScratch::resize(scratch.features, kDim * batch);
-  for (auto& f : scratch.features) f = rng.uniform(-0.5, 1.5);
-  std::vector<double> out(batch, 0.0);
-
-  const double scalar_seconds = best_seconds_per_call(iters, [&] {
-    pred::sweep_scalar(view, batch, scratch, out);
-    benchmark::DoNotOptimize(out.data());
-  });
-  const double simd_seconds = best_seconds_per_call(iters, [&] {
-    pred::sweep_simd(view, batch, scratch, out);
-    benchmark::DoNotOptimize(out.data());
-  });
-  const double speedup =
-      simd_seconds > 0.0 ? scalar_seconds / simd_seconds : 0.0;
-  const double scores_per_sec =
-      simd_seconds > 0.0 ? static_cast<double>(batch) / simd_seconds : 0.0;
-  std::printf("  %zu kernels x %zu features x %zu contexts: scalar %.3f ms, "
-              "simd %.3f ms -> %.2fx (%s)\n\n",
-              kKernels, kDim, batch, scalar_seconds * 1e3, simd_seconds * 1e3,
-              speedup, num::simd::backend_name());
-  bench::JsonLine()
-      .field("bench", "simd_kernel_sweep")
-      .field("backend", num::simd::backend_name())
-      .field("kernels", kKernels)
-      .field("dim", kDim)
-      .field("batch", batch)
-      .field("scalar_seconds", scalar_seconds)
-      .field("simd_seconds", simd_seconds)
-      .field("speedup", speedup)
-      .field("scores_per_second", scores_per_sec)
-      .emit();
-}
-
 void print_frozen_serving() {
   constexpr std::size_t kKernels = 64;
   constexpr std::size_t kDim = 8;
@@ -540,7 +422,7 @@ void print_frozen_serving() {
 
   std::printf("== frozen-artifact serving vs the live engine ==\n");
   num::Rng rng(2025);
-  const auto model = make_sweep_model(rng, kKernels, kDim);
+  const auto model = make_serving_model(rng, kKernels, kDim);
 
   const std::string path = "bench_frozen_model.pfmfrozen";
   if (pred::freeze(model, path) != pred::FrozenError::kOk) {
@@ -556,7 +438,7 @@ void print_frozen_serving() {
   }
 
   // One-sample contexts (all-level features), scored through the same
-  // vector-capable arena path on both sides.
+  // arena path on both sides.
   std::vector<mon::SymptomSample> samples(batch);
   std::vector<pred::SymptomContext> contexts(batch);
   for (std::size_t i = 0; i < batch; ++i) {
@@ -568,8 +450,6 @@ void print_frozen_serving() {
   }
   std::vector<double> out(batch, 0.0);
   pred::BatchScratch scratch;
-  scratch.kernel = num::simd::vectorized() ? pred::BatchKernel::kSimd
-                                           : pred::BatchKernel::kScalar;
 
   const auto view = model.view();
   const double live_seconds = best_seconds_per_call(iters, [&] {
@@ -590,7 +470,6 @@ void print_frozen_serving() {
               live_rate, frozen_rate, ratio);
   bench::JsonLine()
       .field("bench", "frozen_serving")
-      .field("backend", num::simd::backend_name())
       .field("kernels", kKernels)
       .field("dim", kDim)
       .field("batch", batch)
@@ -640,8 +519,6 @@ int main(int argc, char** argv) {
   print_experiment(preds);
   print_shard_scaling(preds);
   print_obs_overhead(preds);
-  print_kernel_comparison(preds);
-  print_simd_sweep();
   print_frozen_serving();
   if (!g_quick) {
     benchmark::Initialize(&argc, argv);

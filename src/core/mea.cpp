@@ -138,15 +138,26 @@ void ActEngine::act(ManagedSystem& system, double score,
   }
 }
 
+void MeaConfig::validate() const {
+  windows.validate();
+  // Each condition is stated positively so that a NaN field fails it.
+  if (!(std::isfinite(evaluation_interval) && evaluation_interval > 0.0)) {
+    throw std::invalid_argument(
+        "MeaConfig: evaluation_interval must be finite and > 0");
+  }
+  if (!(warning_threshold >= 0.0 && warning_threshold <= 1.0)) {
+    throw std::invalid_argument(
+        "MeaConfig: warning_threshold must be in [0, 1]");
+  }
+  if (!(std::isfinite(action_cooldown) && action_cooldown >= 0.0)) {
+    throw std::invalid_argument(
+        "MeaConfig: action_cooldown must be finite and >= 0");
+  }
+}
+
 MeaController::MeaController(ManagedSystem& system, MeaConfig config)
     : system_(&system), config_(std::move(config)) {
-  config_.windows.validate();
-  if (config_.evaluation_interval <= 0.0) {
-    throw std::invalid_argument("MeaController: evaluation interval > 0");
-  }
-  if (config_.warning_threshold < 0.0 || config_.warning_threshold > 1.0) {
-    throw std::invalid_argument("MeaController: threshold in [0,1]");
-  }
+  config_.validate();
 }
 
 void MeaController::add_symptom_predictor(

@@ -28,6 +28,12 @@ struct MeaConfig {
   /// E9 experiment toggles these.
   bool enable_avoidance = true;
   bool enable_minimization = true;
+
+  /// Throws std::invalid_argument unless the windows validate, the
+  /// interval is finite and > 0, the threshold lies in [0, 1] and the
+  /// cooldown is finite and >= 0. NaN fails every check. MeaController
+  /// and the fleet runtime both call this.
+  void validate() const;
 };
 
 /// Counters of one MEA run. The fault counters stay zero unless a

@@ -1,611 +1,16 @@
-// Backend translation unit of the SIMD layer. CMake compiles exactly one
-// backend into this file (PFM_SIMD=auto|avx2|neon|scalar):
-//
-//   - PFM_SIMD_AVX2: this TU is built with -mavx2 (never -mfma) and
-//     -ffp-contract=off; every public entry point dispatches on a
-//     once-resolved CPUID check, falling back to the portable lanes in
-//     simd_portable.cpp on hardware without AVX2 — no FP code in this TU
-//     executes on the fallback path, so the binary stays runnable there.
-//   - PFM_SIMD_NEON: aarch64 builds; NEON is architectural, no dispatch.
-//   - neither: the public API forwards to the portable lanes.
-//
-// Bit-identity contract: each vector sequence mirrors the portable lane
-// ops one-for-one (same IEEE operations, same order, no contraction), so
-// vexp and every helper built on it produce the same bits on all
-// backends. Lanes are independent — a context's score never depends on
-// its batch neighbors, which is what keeps remainder handling (padded
-// lanes) and batch composition out of the numbers.
-
 #include "numerics/simd.hpp"
-
-#include <cstring>
-
-#if defined(PFM_SIMD_AVX2)
-#include <immintrin.h>
-#elif defined(PFM_SIMD_NEON)
-#include <arm_neon.h>
-#endif
 
 namespace pfm::num::simd {
 
-namespace detail {
-namespace {
-
-#if defined(PFM_SIMD_AVX2)
-
-bool use_avx2() noexcept {
-  static const bool ok = __builtin_cpu_supports("avx2");
-  return ok;
-}
-
-// 2^e for integer-valued lanes in the normal-exponent range; mirrors
-// pow2_int in simd_portable.cpp.
-inline __m256d pow2_int4(__m256d e) noexcept {
-  const __m128i i32 = _mm256_cvtpd_epi32(e);
-  const __m256i i64 = _mm256_cvtepi32_epi64(i32);
-  const __m256i bits = _mm256_slli_epi64(
-      _mm256_add_epi64(i64, _mm256_set1_epi64x(1023)), 52);
-  return _mm256_castsi256_pd(bits);
-}
-
-inline __m256d exp4(__m256d x) noexcept {
-  const __m256d nan_mask = _mm256_cmp_pd(x, x, _CMP_UNORD_Q);
-  const __m256d over =
-      _mm256_cmp_pd(x, _mm256_set1_pd(kExpOverflow), _CMP_GT_OQ);
-  const __m256d under =
-      _mm256_cmp_pd(x, _mm256_set1_pd(kExpUnderflow), _CMP_LT_OQ);
-  // Clamp the pipeline input so masked-off lanes cannot poison the
-  // integer conversion; their results are overwritten by the blends.
-  const __m256d xc = _mm256_max_pd(
-      _mm256_set1_pd(kExpUnderflow),
-      _mm256_min_pd(x, _mm256_set1_pd(kExpOverflow)));
-  const __m256d n = _mm256_floor_pd(_mm256_add_pd(
-      _mm256_mul_pd(xc, _mm256_set1_pd(kLog2E)), _mm256_set1_pd(0.5)));
-  __m256d r = _mm256_sub_pd(xc, _mm256_mul_pd(n, _mm256_set1_pd(kLn2Hi)));
-  r = _mm256_sub_pd(r, _mm256_mul_pd(n, _mm256_set1_pd(kLn2Lo)));
-  const __m256d xx = _mm256_mul_pd(r, r);
-  __m256d px = _mm256_mul_pd(_mm256_set1_pd(kExpP0), xx);
-  px = _mm256_add_pd(px, _mm256_set1_pd(kExpP1));
-  px = _mm256_mul_pd(px, xx);
-  px = _mm256_add_pd(px, _mm256_set1_pd(kExpP2));
-  px = _mm256_mul_pd(px, r);
-  __m256d qx = _mm256_mul_pd(_mm256_set1_pd(kExpQ0), xx);
-  qx = _mm256_add_pd(qx, _mm256_set1_pd(kExpQ1));
-  qx = _mm256_mul_pd(qx, xx);
-  qx = _mm256_add_pd(qx, _mm256_set1_pd(kExpQ2));
-  qx = _mm256_mul_pd(qx, xx);
-  qx = _mm256_add_pd(qx, _mm256_set1_pd(kExpQ3));
-  const __m256d e = _mm256_div_pd(px, _mm256_sub_pd(qx, px));
-  __m256d y = _mm256_add_pd(_mm256_set1_pd(1.0),
-                            _mm256_mul_pd(_mm256_set1_pd(2.0), e));
-  const __m256d a = _mm256_floor_pd(_mm256_mul_pd(n, _mm256_set1_pd(0.5)));
-  const __m256d b = _mm256_sub_pd(n, a);
-  y = _mm256_mul_pd(_mm256_mul_pd(y, pow2_int4(a)), pow2_int4(b));
-  const __m256d inf = _mm256_set1_pd(__builtin_inf());
-  y = _mm256_blendv_pd(y, inf, over);
-  y = _mm256_blendv_pd(y, _mm256_setzero_pd(), under);
-  y = _mm256_blendv_pd(y, x, nan_mask);
-  return y;
-}
-
-// sigmoid(z) per lane, mirroring sigmoid_lane: e = exp(-|z|) shared by
-// both branches, numerator blended between 1 and e.
-inline __m256d sigmoid4(__m256d z) noexcept {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d nonneg = _mm256_cmp_pd(z, _mm256_setzero_pd(), _CMP_GE_OQ);
-  const __m256d az = _mm256_blendv_pd(z, _mm256_xor_pd(z, sign), nonneg);
-  const __m256d e = exp4(az);
-  const __m256d denom = _mm256_add_pd(_mm256_set1_pd(1.0), e);
-  const __m256d num = _mm256_blendv_pd(e, _mm256_set1_pd(1.0), nonneg);
-  return _mm256_div_pd(num, denom);
-}
-
-void vexp_avx2(const double* x, double* y, std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    _mm256_storeu_pd(y + i, exp4(_mm256_loadu_pd(x + i)));
-  }
-  if (i < n) {
-    double tin[kLanes] = {0.0, 0.0, 0.0, 0.0};
-    double tout[kLanes];
-    std::memcpy(tin, x + i, (n - i) * sizeof(double));
-    _mm256_storeu_pd(tout, exp4(_mm256_loadu_pd(tin)));
-    std::memcpy(y + i, tout, (n - i) * sizeof(double));
-  }
-}
-
-void axpy_avx2(double a, const double* x, double* y, std::size_t n) noexcept {
-  const __m256d av = _mm256_set1_pd(a);
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256d yv = _mm256_add_pd(
-        _mm256_loadu_pd(y + i), _mm256_mul_pd(av, _mm256_loadu_pd(x + i)));
-    _mm256_storeu_pd(y + i, yv);
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-double dot_avx2(const double* a, const double* b, std::size_t n) noexcept {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    acc = _mm256_add_pd(
-        acc, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-  }
-  if (i < n) {
-    double ta[kLanes] = {0.0, 0.0, 0.0, 0.0};
-    double tb[kLanes] = {0.0, 0.0, 0.0, 0.0};
-    std::memcpy(ta, a + i, (n - i) * sizeof(double));
-    std::memcpy(tb, b + i, (n - i) * sizeof(double));
-    acc = _mm256_add_pd(
-        acc, _mm256_mul_pd(_mm256_loadu_pd(ta), _mm256_loadu_pd(tb)));
-  }
-  double lanes[kLanes];
-  _mm256_storeu_pd(lanes, acc);
-  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
-void squared_distance_soa_avx2(const double* features, std::size_t batch,
-                               std::size_t dim, const double* center,
-                               double* d2) noexcept {
-  std::size_t c = 0;
-  for (; c + kLanes <= batch; c += kLanes) {
-    _mm256_storeu_pd(d2 + c, _mm256_setzero_pd());
-  }
-  for (; c < batch; ++c) d2[c] = 0.0;
-  for (std::size_t j = 0; j < dim; ++j) {
-    const __m256d cj = _mm256_set1_pd(center[j]);
-    const double* col = features + j * batch;
-    c = 0;
-    for (; c + kLanes <= batch; c += kLanes) {
-      const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(col + c), cj);
-      _mm256_storeu_pd(
-          d2 + c, _mm256_add_pd(_mm256_loadu_pd(d2 + c), _mm256_mul_pd(d, d)));
-    }
-    const double cjs = center[j];
-    for (; c < batch; ++c) {
-      const double d = col[c] - cjs;
-      d2[c] += d * d;
-    }
-  }
-}
-
-inline __m256d mixture_activation4(__m256d d2v, __m256d wv, __m256d two_w_sq,
-                                   __m256d step_scale, __m256d mv,
-                                   __m256d one_minus_m,
-                                   bool mixture_kernels) noexcept {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d d = _mm256_sqrt_pd(d2v);
-  const __m256d garg =
-      _mm256_div_pd(_mm256_mul_pd(_mm256_xor_pd(d, sign), d), two_w_sq);
-  const __m256d gaussian = exp4(garg);
-  if (!mixture_kernels) return gaussian;
-  const __m256d e = exp4(_mm256_div_pd(_mm256_sub_pd(d, wv), step_scale));
-  const __m256d step =
-      _mm256_div_pd(_mm256_set1_pd(1.0), _mm256_add_pd(_mm256_set1_pd(1.0), e));
-  return _mm256_add_pd(_mm256_mul_pd(mv, gaussian),
-                       _mm256_mul_pd(one_minus_m, step));
-}
-
-void mixture_activation_avx2(const double* d2, std::size_t n, double w,
-                             double two_w_sq, double step_scale, double mixture,
-                             bool mixture_kernels, double* act) noexcept {
-  const __m256d wv = _mm256_set1_pd(w);
-  const __m256d tw = _mm256_set1_pd(two_w_sq);
-  const __m256d ss = _mm256_set1_pd(step_scale);
-  const __m256d mv = _mm256_set1_pd(mixture);
-  const __m256d om = _mm256_set1_pd(1.0 - mixture);
-  std::size_t c = 0;
-  for (; c + kLanes <= n; c += kLanes) {
-    _mm256_storeu_pd(act + c,
-                     mixture_activation4(_mm256_loadu_pd(d2 + c), wv, tw, ss,
-                                         mv, om, mixture_kernels));
-  }
-  if (c < n) {
-    double tin[kLanes] = {0.0, 0.0, 0.0, 0.0};
-    double tout[kLanes];
-    std::memcpy(tin, d2 + c, (n - c) * sizeof(double));
-    _mm256_storeu_pd(tout, mixture_activation4(_mm256_loadu_pd(tin), wv, tw,
-                                               ss, mv, om, mixture_kernels));
-    std::memcpy(act + c, tout, (n - c) * sizeof(double));
-  }
-}
-
-void score_sigmoid_avx2(double* inout, std::size_t n) noexcept {
-  const __m256d four = _mm256_set1_pd(4.0);
-  const __m256d half = _mm256_set1_pd(0.5);
-  std::size_t c = 0;
-  for (; c + kLanes <= n; c += kLanes) {
-    const __m256d z =
-        _mm256_mul_pd(four, _mm256_sub_pd(_mm256_loadu_pd(inout + c), half));
-    _mm256_storeu_pd(inout + c, sigmoid4(z));
-  }
-  if (c < n) {
-    double tin[kLanes] = {0.5, 0.5, 0.5, 0.5};
-    double tout[kLanes];
-    std::memcpy(tin, inout + c, (n - c) * sizeof(double));
-    const __m256d z =
-        _mm256_mul_pd(four, _mm256_sub_pd(_mm256_loadu_pd(tin), half));
-    _mm256_storeu_pd(tout, sigmoid4(z));
-    std::memcpy(inout + c, tout, (n - c) * sizeof(double));
-  }
-}
-
-void trend_sigmoid_avx2(const double* z_level, const double* z_slope,
-                        double* out, std::size_t n) noexcept {
-  const __m256d wl = _mm256_set1_pd(0.7);
-  const __m256d ws = _mm256_set1_pd(1.1);
-  std::size_t c = 0;
-  for (; c + kLanes <= n; c += kLanes) {
-    const __m256d z =
-        _mm256_add_pd(_mm256_mul_pd(wl, _mm256_loadu_pd(z_level + c)),
-                      _mm256_mul_pd(ws, _mm256_loadu_pd(z_slope + c)));
-    _mm256_storeu_pd(out + c, sigmoid4(z));
-  }
-  if (c < n) {
-    double tl[kLanes] = {0.0, 0.0, 0.0, 0.0};
-    double ts[kLanes] = {0.0, 0.0, 0.0, 0.0};
-    double tout[kLanes];
-    std::memcpy(tl, z_level + c, (n - c) * sizeof(double));
-    std::memcpy(ts, z_slope + c, (n - c) * sizeof(double));
-    const __m256d z = _mm256_add_pd(_mm256_mul_pd(wl, _mm256_loadu_pd(tl)),
-                                    _mm256_mul_pd(ws, _mm256_loadu_pd(ts)));
-    _mm256_storeu_pd(tout, sigmoid4(z));
-    std::memcpy(out + c, tout, (n - c) * sizeof(double));
-  }
-}
-
-#elif defined(PFM_SIMD_NEON)
-
-// NEON: the virtual 4-lane width maps onto two 128-bit registers; each
-// pair of float64x2_t ops mirrors one portable-lane statement.
-
-inline float64x2_t pow2_int2(float64x2_t e) noexcept {
-  const int64x2_t i64 = vcvtq_s64_f64(e);
-  const int64x2_t bits = vshlq_n_s64(vaddq_s64(i64, vdupq_n_s64(1023)), 52);
-  return vreinterpretq_f64_s64(bits);
-}
-
-inline float64x2_t exp2l(float64x2_t x) noexcept {
-  const uint64x2_t nan_mask = vceqq_f64(x, x);  // 0 where NaN
-  const uint64x2_t over = vcgtq_f64(x, vdupq_n_f64(kExpOverflow));
-  const uint64x2_t under = vcltq_f64(x, vdupq_n_f64(kExpUnderflow));
-  const float64x2_t xc =
-      vmaxq_f64(vdupq_n_f64(kExpUnderflow),
-                vminq_f64(x, vdupq_n_f64(kExpOverflow)));
-  const float64x2_t n = vrndmq_f64(
-      vaddq_f64(vmulq_f64(xc, vdupq_n_f64(kLog2E)), vdupq_n_f64(0.5)));
-  float64x2_t r = vsubq_f64(xc, vmulq_f64(n, vdupq_n_f64(kLn2Hi)));
-  r = vsubq_f64(r, vmulq_f64(n, vdupq_n_f64(kLn2Lo)));
-  const float64x2_t xx = vmulq_f64(r, r);
-  float64x2_t px = vmulq_f64(vdupq_n_f64(kExpP0), xx);
-  px = vaddq_f64(px, vdupq_n_f64(kExpP1));
-  px = vmulq_f64(px, xx);
-  px = vaddq_f64(px, vdupq_n_f64(kExpP2));
-  px = vmulq_f64(px, r);
-  float64x2_t qx = vmulq_f64(vdupq_n_f64(kExpQ0), xx);
-  qx = vaddq_f64(qx, vdupq_n_f64(kExpQ1));
-  qx = vmulq_f64(qx, xx);
-  qx = vaddq_f64(qx, vdupq_n_f64(kExpQ2));
-  qx = vmulq_f64(qx, xx);
-  qx = vaddq_f64(qx, vdupq_n_f64(kExpQ3));
-  const float64x2_t e = vdivq_f64(px, vsubq_f64(qx, px));
-  float64x2_t y = vaddq_f64(vdupq_n_f64(1.0),
-                            vmulq_f64(vdupq_n_f64(2.0), e));
-  const float64x2_t a = vrndmq_f64(vmulq_f64(n, vdupq_n_f64(0.5)));
-  const float64x2_t b = vsubq_f64(n, a);
-  y = vmulq_f64(vmulq_f64(y, pow2_int2(a)), pow2_int2(b));
-  y = vbslq_f64(over, vdupq_n_f64(__builtin_inf()), y);
-  y = vbslq_f64(under, vdupq_n_f64(0.0), y);
-  y = vbslq_f64(nan_mask, y, x);  // NaN lanes pass the input through
-  return y;
-}
-
-inline float64x2_t sigmoid2(float64x2_t z) noexcept {
-  const uint64x2_t nonneg = vcgeq_f64(z, vdupq_n_f64(0.0));
-  const float64x2_t az = vbslq_f64(nonneg, vnegq_f64(z), z);
-  const float64x2_t e = exp2l(az);
-  const float64x2_t denom = vaddq_f64(vdupq_n_f64(1.0), e);
-  const float64x2_t num = vbslq_f64(nonneg, vdupq_n_f64(1.0), e);
-  return vdivq_f64(num, denom);
-}
-
-void vexp_neon(const double* x, double* y, std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) vst1q_f64(y + i, exp2l(vld1q_f64(x + i)));
-  if (i < n) {
-    double tin[2] = {x[i], 0.0};
-    double tout[2];
-    vst1q_f64(tout, exp2l(vld1q_f64(tin)));
-    y[i] = tout[0];
-  }
-}
-
-void axpy_neon(double a, const double* x, double* y, std::size_t n) noexcept {
-  const float64x2_t av = vdupq_n_f64(a);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(y + i,
-              vaddq_f64(vld1q_f64(y + i), vmulq_f64(av, vld1q_f64(x + i))));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-double dot_neon(const double* a, const double* b, std::size_t n) noexcept {
-  float64x2_t acc01 = vdupq_n_f64(0.0);
-  float64x2_t acc23 = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    acc01 = vaddq_f64(acc01, vmulq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
-    acc23 =
-        vaddq_f64(acc23, vmulq_f64(vld1q_f64(a + i + 2), vld1q_f64(b + i + 2)));
-  }
-  if (i < n) {
-    double ta[kLanes] = {0.0, 0.0, 0.0, 0.0};
-    double tb[kLanes] = {0.0, 0.0, 0.0, 0.0};
-    for (std::size_t k = 0; i + k < n; ++k) {
-      ta[k] = a[i + k];
-      tb[k] = b[i + k];
-    }
-    acc01 = vaddq_f64(acc01, vmulq_f64(vld1q_f64(ta), vld1q_f64(tb)));
-    acc23 = vaddq_f64(acc23, vmulq_f64(vld1q_f64(ta + 2), vld1q_f64(tb + 2)));
-  }
-  const double acc0 = vgetq_lane_f64(acc01, 0);
-  const double acc1 = vgetq_lane_f64(acc01, 1);
-  const double acc2 = vgetq_lane_f64(acc23, 0);
-  const double acc3 = vgetq_lane_f64(acc23, 1);
-  return (acc0 + acc1) + (acc2 + acc3);
-}
-
-void squared_distance_soa_neon(const double* features, std::size_t batch,
-                               std::size_t dim, const double* center,
-                               double* d2) noexcept {
-  for (std::size_t c = 0; c < batch; ++c) d2[c] = 0.0;
-  for (std::size_t j = 0; j < dim; ++j) {
-    const float64x2_t cj = vdupq_n_f64(center[j]);
-    const double* col = features + j * batch;
-    std::size_t c = 0;
-    for (; c + 2 <= batch; c += 2) {
-      const float64x2_t d = vsubq_f64(vld1q_f64(col + c), cj);
-      vst1q_f64(d2 + c, vaddq_f64(vld1q_f64(d2 + c), vmulq_f64(d, d)));
-    }
-    const double cjs = center[j];
-    for (; c < batch; ++c) {
-      const double d = col[c] - cjs;
-      d2[c] += d * d;
-    }
-  }
-}
-
-inline float64x2_t mixture_activation2(float64x2_t d2v, float64x2_t wv,
-                                       float64x2_t two_w_sq,
-                                       float64x2_t step_scale, float64x2_t mv,
-                                       float64x2_t one_minus_m,
-                                       bool mixture_kernels) noexcept {
-  const float64x2_t d = vsqrtq_f64(d2v);
-  const float64x2_t garg = vdivq_f64(vmulq_f64(vnegq_f64(d), d), two_w_sq);
-  const float64x2_t gaussian = exp2l(garg);
-  if (!mixture_kernels) return gaussian;
-  const float64x2_t e = exp2l(vdivq_f64(vsubq_f64(d, wv), step_scale));
-  const float64x2_t step =
-      vdivq_f64(vdupq_n_f64(1.0), vaddq_f64(vdupq_n_f64(1.0), e));
-  return vaddq_f64(vmulq_f64(mv, gaussian), vmulq_f64(one_minus_m, step));
-}
-
-void mixture_activation_neon(const double* d2, std::size_t n, double w,
-                             double two_w_sq, double step_scale, double mixture,
-                             bool mixture_kernels, double* act) noexcept {
-  const float64x2_t wv = vdupq_n_f64(w);
-  const float64x2_t tw = vdupq_n_f64(two_w_sq);
-  const float64x2_t ss = vdupq_n_f64(step_scale);
-  const float64x2_t mv = vdupq_n_f64(mixture);
-  const float64x2_t om = vdupq_n_f64(1.0 - mixture);
-  std::size_t c = 0;
-  for (; c + 2 <= n; c += 2) {
-    vst1q_f64(act + c, mixture_activation2(vld1q_f64(d2 + c), wv, tw, ss, mv,
-                                           om, mixture_kernels));
-  }
-  if (c < n) {
-    double tin[2] = {d2[c], 0.0};
-    double tout[2];
-    vst1q_f64(tout, mixture_activation2(vld1q_f64(tin), wv, tw, ss, mv, om,
-                                        mixture_kernels));
-    act[c] = tout[0];
-  }
-}
-
-void score_sigmoid_neon(double* inout, std::size_t n) noexcept {
-  const float64x2_t four = vdupq_n_f64(4.0);
-  const float64x2_t half = vdupq_n_f64(0.5);
-  std::size_t c = 0;
-  for (; c + 2 <= n; c += 2) {
-    const float64x2_t z =
-        vmulq_f64(four, vsubq_f64(vld1q_f64(inout + c), half));
-    vst1q_f64(inout + c, sigmoid2(z));
-  }
-  if (c < n) {
-    double tin[2] = {inout[c], 0.5};
-    double tout[2];
-    const float64x2_t z = vmulq_f64(four, vsubq_f64(vld1q_f64(tin), half));
-    vst1q_f64(tout, sigmoid2(z));
-    inout[c] = tout[0];
-  }
-}
-
-void trend_sigmoid_neon(const double* z_level, const double* z_slope,
-                        double* out, std::size_t n) noexcept {
-  const float64x2_t wl = vdupq_n_f64(0.7);
-  const float64x2_t ws = vdupq_n_f64(1.1);
-  std::size_t c = 0;
-  for (; c + 2 <= n; c += 2) {
-    const float64x2_t z = vaddq_f64(vmulq_f64(wl, vld1q_f64(z_level + c)),
-                                    vmulq_f64(ws, vld1q_f64(z_slope + c)));
-    vst1q_f64(out + c, sigmoid2(z));
-  }
-  if (c < n) {
-    double tl[2] = {z_level[c], 0.0};
-    double ts[2] = {z_slope[c], 0.0};
-    double tout[2];
-    const float64x2_t z = vaddq_f64(vmulq_f64(wl, vld1q_f64(tl)),
-                                    vmulq_f64(ws, vld1q_f64(ts)));
-    vst1q_f64(tout, sigmoid2(z));
-    out[c] = tout[0];
-  }
-}
-
-#endif  // backend selection
-
-}  // namespace
-}  // namespace detail
-
-#if defined(PFM_SIMD_AVX2)
-
 const char* backend_name() noexcept {
-  return detail::use_avx2() ? "avx2" : "scalar";
+#if defined(__x86_64__)
+  static const bool avx2 = __builtin_cpu_supports("avx2");
+  return avx2 ? "avx2" : "scalar";
+#elif defined(__aarch64__)
+  return "neon";
+#else
+  return "scalar";
+#endif
 }
-
-bool vectorized() noexcept { return detail::use_avx2(); }
-
-void vexp(const double* x, double* y, std::size_t n) noexcept {
-  if (detail::use_avx2()) {
-    detail::vexp_avx2(x, y, n);
-  } else {
-    detail::vexp_portable(x, y, n);
-  }
-}
-
-void axpy(double a, const double* x, double* y, std::size_t n) noexcept {
-  if (detail::use_avx2()) {
-    detail::axpy_avx2(a, x, y, n);
-  } else {
-    detail::axpy_portable(a, x, y, n);
-  }
-}
-
-double dot(const double* a, const double* b, std::size_t n) noexcept {
-  if (detail::use_avx2()) return detail::dot_avx2(a, b, n);
-  return detail::dot_portable(a, b, n);
-}
-
-void squared_distance_soa(const double* features, std::size_t batch,
-                          std::size_t dim, const double* center,
-                          double* d2) noexcept {
-  if (detail::use_avx2()) {
-    detail::squared_distance_soa_avx2(features, batch, dim, center, d2);
-  } else {
-    detail::squared_distance_soa_portable(features, batch, dim, center, d2);
-  }
-}
-
-void mixture_activation(const double* d2, std::size_t n, double w,
-                        double two_w_sq, double step_scale, double mixture,
-                        bool mixture_kernels, double* act) noexcept {
-  if (detail::use_avx2()) {
-    detail::mixture_activation_avx2(d2, n, w, two_w_sq, step_scale, mixture,
-                                    mixture_kernels, act);
-  } else {
-    detail::mixture_activation_portable(d2, n, w, two_w_sq, step_scale,
-                                        mixture, mixture_kernels, act);
-  }
-}
-
-void score_sigmoid(double* inout, std::size_t n) noexcept {
-  if (detail::use_avx2()) {
-    detail::score_sigmoid_avx2(inout, n);
-  } else {
-    detail::score_sigmoid_portable(inout, n);
-  }
-}
-
-void trend_sigmoid(const double* z_level, const double* z_slope, double* out,
-                   std::size_t n) noexcept {
-  if (detail::use_avx2()) {
-    detail::trend_sigmoid_avx2(z_level, z_slope, out, n);
-  } else {
-    detail::trend_sigmoid_portable(z_level, z_slope, out, n);
-  }
-}
-
-#elif defined(PFM_SIMD_NEON)
-
-const char* backend_name() noexcept { return "neon"; }
-
-bool vectorized() noexcept { return true; }
-
-void vexp(const double* x, double* y, std::size_t n) noexcept {
-  detail::vexp_neon(x, y, n);
-}
-
-void axpy(double a, const double* x, double* y, std::size_t n) noexcept {
-  detail::axpy_neon(a, x, y, n);
-}
-
-double dot(const double* a, const double* b, std::size_t n) noexcept {
-  return detail::dot_neon(a, b, n);
-}
-
-void squared_distance_soa(const double* features, std::size_t batch,
-                          std::size_t dim, const double* center,
-                          double* d2) noexcept {
-  detail::squared_distance_soa_neon(features, batch, dim, center, d2);
-}
-
-void mixture_activation(const double* d2, std::size_t n, double w,
-                        double two_w_sq, double step_scale, double mixture,
-                        bool mixture_kernels, double* act) noexcept {
-  detail::mixture_activation_neon(d2, n, w, two_w_sq, step_scale, mixture,
-                                  mixture_kernels, act);
-}
-
-void score_sigmoid(double* inout, std::size_t n) noexcept {
-  detail::score_sigmoid_neon(inout, n);
-}
-
-void trend_sigmoid(const double* z_level, const double* z_slope, double* out,
-                   std::size_t n) noexcept {
-  detail::trend_sigmoid_neon(z_level, z_slope, out, n);
-}
-
-#else  // scalar backend
-
-const char* backend_name() noexcept { return "scalar"; }
-
-bool vectorized() noexcept { return false; }
-
-void vexp(const double* x, double* y, std::size_t n) noexcept {
-  detail::vexp_portable(x, y, n);
-}
-
-void axpy(double a, const double* x, double* y, std::size_t n) noexcept {
-  detail::axpy_portable(a, x, y, n);
-}
-
-double dot(const double* a, const double* b, std::size_t n) noexcept {
-  return detail::dot_portable(a, b, n);
-}
-
-void squared_distance_soa(const double* features, std::size_t batch,
-                          std::size_t dim, const double* center,
-                          double* d2) noexcept {
-  detail::squared_distance_soa_portable(features, batch, dim, center, d2);
-}
-
-void mixture_activation(const double* d2, std::size_t n, double w,
-                        double two_w_sq, double step_scale, double mixture,
-                        bool mixture_kernels, double* act) noexcept {
-  detail::mixture_activation_portable(d2, n, w, two_w_sq, step_scale, mixture,
-                                      mixture_kernels, act);
-}
-
-void score_sigmoid(double* inout, std::size_t n) noexcept {
-  detail::score_sigmoid_portable(inout, n);
-}
-
-void trend_sigmoid(const double* z_level, const double* z_slope, double* out,
-                   std::size_t n) noexcept {
-  detail::trend_sigmoid_portable(z_level, z_slope, out, n);
-}
-
-#endif  // backend selection
 
 }  // namespace pfm::num::simd

@@ -23,9 +23,7 @@
 // no matter how many pool threads ran it.
 //
 // Off mode: a null TraceRecorder* (or capacity 0) short-circuits every
-// helper before any clock is read; compiling with
-// -DPFM_OBS_DISABLE_TRACING removes the record calls entirely
-// (cmake -DPFM_OBS_TRACING=OFF).
+// helper before any clock is read.
 
 #include <chrono>
 #include <cstdint>
@@ -139,12 +137,8 @@ class TraceRecorder {
 inline void record_instant(TraceRecorder* rec, SpanKind kind,
                            std::uint32_t track, double sim_time,
                            std::uint32_t sub = 0, std::int64_t arg = 0) {
-#ifndef PFM_OBS_DISABLE_TRACING
   if (rec == nullptr || !rec->enabled()) return;
   rec->record(Span{sim_time, sim_time, track, kind, sub, arg, 0.0});
-#else
-  (void)rec; (void)kind; (void)track; (void)sim_time; (void)sub; (void)arg;
-#endif
 }
 
 /// RAII span: captures the wall clock on construction, records on
@@ -156,7 +150,6 @@ class ScopedSpan {
  public:
   ScopedSpan(TraceRecorder* rec, SpanKind kind, std::uint32_t track,
              double sim_begin, std::uint32_t sub = 0, std::int64_t arg = 0)
-#ifndef PFM_OBS_DISABLE_TRACING
       : rec_(rec != nullptr && rec->enabled() ? rec : nullptr) {
     if (rec_ == nullptr) return;
     span_.sim_begin = sim_begin;
@@ -167,58 +160,37 @@ class ScopedSpan {
     span_.arg = arg;
     start_ = std::chrono::steady_clock::now();
   }
-#else
-  {
-    (void)rec; (void)kind; (void)track; (void)sim_begin; (void)sub; (void)arg;
-  }
-#endif
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
   void set_sim_end(double sim_end) noexcept {
-#ifndef PFM_OBS_DISABLE_TRACING
     if (rec_ != nullptr) span_.sim_end = sim_end;
-#else
-    (void)sim_end;
-#endif
   }
 
   void set_arg(std::int64_t arg) noexcept {
-#ifndef PFM_OBS_DISABLE_TRACING
     if (rec_ != nullptr) span_.arg = arg;
-#else
-    (void)arg;
-#endif
   }
 
   /// Wall seconds elapsed so far (0 when disabled) — lets callers feed
   /// the same measurement into a latency histogram.
   double elapsed_wall() const noexcept {
-#ifndef PFM_OBS_DISABLE_TRACING
     if (rec_ == nullptr) return 0.0;
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start_)
         .count();
-#else
-    return 0.0;
-#endif
   }
 
   ~ScopedSpan() {
-#ifndef PFM_OBS_DISABLE_TRACING
     if (rec_ == nullptr) return;
     span_.wall_seconds = elapsed_wall();
     rec_->record(span_);
-#endif
   }
 
  private:
-#ifndef PFM_OBS_DISABLE_TRACING
   TraceRecorder* rec_ = nullptr;
   Span span_;
   std::chrono::steady_clock::time_point start_;
-#endif
 };
 
 }  // namespace pfm::obs

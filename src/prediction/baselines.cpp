@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "numerics/logistic.hpp"
-#include "numerics/simd.hpp"
 #include "numerics/stats.hpp"
 
 namespace pfm::pred {
@@ -164,13 +163,7 @@ void TrendPredictor::score_batch(std::span<const SymptomContext> contexts,
     throw_contexts_size_mismatch();
   }
   if (!trained_) throw_trend_not_trained();
-  const std::size_t batch = contexts.size();
-  // Under kSimd the gathered z columns go through num::simd's sigmoid
-  // lanes in one pass; the regression stays scalar (variable-length
-  // history per context). The gather below is shared by both sweeps.
-  const bool simd = scratch.kernel == BatchKernel::kSimd;
-  if (simd) BatchScratch::resize(scratch.features, 2 * batch);
-  for (std::size_t i = 0; i < batch; ++i) {
+  for (std::size_t i = 0; i < contexts.size(); ++i) {
     const auto& ctx = contexts[i];
     if (ctx.history.empty()) {
       throw_trend_empty_context();
@@ -188,17 +181,7 @@ void TrendPredictor::score_batch(std::span<const SymptomContext> contexts,
       const auto fit = num::fit_line(scratch.t_buf, scratch.v_buf);
       z_slope = direction_ * fit.slope * slope_scale_;
     }
-    if (simd) {
-      scratch.features[i] = z_level;
-      scratch.features[batch + i] = z_slope;
-    } else {
-      out[i] = num::sigmoid(0.7 * z_level + 1.1 * z_slope);
-    }
-  }
-  if (simd) {
-    num::simd::trend_sigmoid(scratch.features.data(),
-                             scratch.features.data() + batch, out.data(),
-                             batch);
+    out[i] = num::sigmoid(0.7 * z_level + 1.1 * z_slope);
   }
 }
 
@@ -434,8 +417,6 @@ void EventsetPredictor::score_batch(std::span<const mon::ErrorSequence> sequence
   if (!trained_) throw_eventset_not_trained();
   // Membership via a sorted scratch vector instead of a node-based
   // std::set: same containment answers, zero allocations after warm-up.
-  // There is no transcendental arithmetic here, so BatchKernel::kSimd
-  // shares this sweep — bit-identical to kScalar by construction.
   std::vector<std::int32_t>& have = scratch.ids;
   for (std::size_t i = 0; i < sequences.size(); ++i) {
     have.clear();

@@ -47,7 +47,7 @@ class TrendPredictor final : public SymptomPredictor {
   double score(const SymptomContext& context) const override;
   using SymptomPredictor::score_batch;
   /// Regression buffers live in the caller's scratch so repeated rounds
-  /// allocate nothing; kSimd squashes the z columns in num::simd lanes.
+  /// allocate nothing.
   void score_batch(std::span<const SymptomContext> contexts,
                    std::span<double> out,
                    BatchScratch& scratch) const override;

@@ -36,7 +36,7 @@ class CalibratedSymptomPredictor final : public SymptomPredictor {
   }
   using SymptomPredictor::score_batch;
   /// Scores the batch through the wrapped predictor's arena path, then
-  /// calibrates each score (kScalar: bit-identical to score()).
+  /// calibrates each score (bit-identical to score()).
   void score_batch(std::span<const SymptomContext> contexts,
                    std::span<double> out,
                    BatchScratch& scratch) const override {

@@ -19,7 +19,7 @@ enum class FrozenError : std::uint8_t {
   kTruncated,          ///< file shorter than header + declared payload
   kBadMagic,           ///< not a PFMFROZN artifact
   kBadVersion,         ///< artifact format newer/older than this build
-  kLaneMismatch,       ///< baked for a different SIMD lane width
+  kLaneMismatch,       ///< lane_width is not 4 (fixed by format v1)
   kChecksumMismatch,   ///< payload bytes fail the FNV-1a check
   kMalformed,          ///< internally inconsistent counts/sizes
 };
@@ -35,7 +35,7 @@ struct FrozenHeader {
   char magic[8];                ///< "PFMFROZN"
   std::uint32_t version;        ///< format version, currently 1
   std::uint32_t flags;          ///< bit 0: mixture_kernels
-  std::uint32_t lane_width;     ///< num::simd::kLanes at freeze time
+  std::uint32_t lane_width;     ///< always 4 (fixed by format v1)
   std::uint32_t name_len;       ///< valid bytes in name[]
   char name[16];                ///< predictor name, unpadded ("UBF"/"RBF")
   std::uint64_t num_kernels;

@@ -6,7 +6,6 @@
 
 #include "numerics/logistic.hpp"
 #include "numerics/matrix.hpp"
-#include "numerics/simd.hpp"
 #include "numerics/stats.hpp"
 
 namespace pfm::pred {
@@ -40,8 +39,6 @@ namespace {
 [[noreturn]] void throw_gather_empty_context() {
   throw std::invalid_argument("UbfPredictor: empty context");
 }
-
-}  // namespace
 
 // pfm-hot
 void gather_features(const MixtureModelView& m,
@@ -83,8 +80,8 @@ void gather_features(const MixtureModelView& m,
 }
 
 // pfm-hot
-void sweep_scalar(const MixtureModelView& m, std::size_t batch,
-                  BatchScratch& scratch, std::span<double> out) noexcept {
+void sweep(const MixtureModelView& m, std::size_t batch, BatchScratch& scratch,
+           std::span<double> out) noexcept {
   // Evaluate each Eq. 1 kernel over every context, then fold its
   // activation row into the accumulator with one axpy. Per context this
   // performs bias-first, kernels-in-order accumulation with the same
@@ -121,28 +118,7 @@ void sweep_scalar(const MixtureModelView& m, std::size_t batch,
   }
 }
 
-// pfm-hot
-void sweep_simd(const MixtureModelView& m, std::size_t batch,
-                BatchScratch& scratch, std::span<double> out) noexcept {
-  // Same structure as sweep_scalar — bias first, kernels in order, one
-  // activation row per kernel — with the per-row arithmetic handed to
-  // num::simd. The distance accumulation keeps the scalar j-order per
-  // context (bit-identical d^2); only the transcendental steps pick up
-  // the vexp-vs-libm ULP difference.
-  BatchScratch::resize(scratch.activations, batch);
-  for (std::size_t c = 0; c < batch; ++c) out[c] = m.weights[m.num_kernels];
-  const std::size_t dim = m.dim;
-  double* act = scratch.activations.data();
-  for (std::size_t i = 0; i < m.num_kernels; ++i) {
-    num::simd::squared_distance_soa(scratch.features.data(), batch, dim,
-                                    m.centers + i * dim, act);
-    num::simd::mixture_activation(act, batch, m.w[i], m.two_w_sq[i],
-                                  m.step_scale[i], m.mixture[i],
-                                  m.mixture_kernels, act);
-    num::simd::axpy(m.weights[i], act, out.data(), batch);
-  }
-  num::simd::score_sigmoid(out.data(), batch);
-}
+}  // namespace
 
 // pfm-hot
 void score_batch_soa(const MixtureModelView& m,
@@ -151,18 +127,13 @@ void score_batch_soa(const MixtureModelView& m,
   const std::size_t batch = contexts.size();
   if (batch == 0) return;
   gather_features(m, contexts, scratch);
-  if (scratch.kernel == BatchKernel::kSimd) {
-    sweep_simd(m, batch, scratch, out);
-  } else {
-    sweep_scalar(m, batch, scratch, out);
-  }
+  sweep(m, batch, scratch, out);
 }
 
 double score_one(const MixtureModelView& m, const SymptomContext& ctx) {
   BatchScratch scratch;
   double out = 0.0;
-  gather_features(m, {&ctx, 1}, scratch);
-  sweep_scalar(m, 1, scratch, {&out, 1});
+  score_batch_soa(m, {&ctx, 1}, {&out, 1}, scratch);
   return out;
 }
 

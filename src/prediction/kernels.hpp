@@ -11,9 +11,9 @@ namespace pfm::pred {
 
 /// Non-owning view of a trained Eq. 1 mixture-kernel scoring model: the
 /// shared engine behind UbfPredictor's arena-backed score_batch and the
-/// frozen-artifact FrozenPredictor. Both wrap the same gather + sweep
-/// functions below, which is what makes frozen-vs-live bit-identity hold
-/// by construction instead of by test luck.
+/// frozen-artifact FrozenPredictor. Both wrap the same score_batch_soa
+/// below, which is what makes frozen-vs-live bit-identity hold by
+/// construction instead of by test luck.
 ///
 /// All width-derived constants are precomputed with the exact expressions
 /// the reference path evaluates inline (w clamped to >= 1e-6, 2*w*w,
@@ -58,31 +58,18 @@ struct MixtureModel {
   MixtureModelView view() const noexcept;
 };
 
-/// Gather phase of the SoA path: one contiguous column per selected
-/// feature (feature i of context c lands at features[i * batch + c]),
-/// levels read from the newest sample, slopes regressed over the data
-/// window via scratch.t_buf/v_buf, then scaled and clamped exactly like
-/// the reference path. Throws std::invalid_argument (out-of-line,
-/// pfm-cold) on an empty context history.
-void gather_features(const MixtureModelView& m,
-                     std::span<const SymptomContext> contexts,
-                     BatchScratch& scratch);
-
-/// Reference kernel sweep over gathered columns: libm exp, bias-first
-/// kernels-in-order accumulation — bit-identical to UbfPredictor::score()
-/// (the conformance contract).
-void sweep_scalar(const MixtureModelView& m, std::size_t batch,
-                  BatchScratch& scratch, std::span<double> out) noexcept;
-
-/// Vectorized sweep: same columns, same per-context accumulation order,
-/// arithmetic routed through num::simd (vexp instead of libm). Scores
-/// agree with sweep_scalar within the documented ULP bound; backend
-/// choice and batch composition never change the bits it produces.
-void sweep_simd(const MixtureModelView& m, std::size_t batch,
-                BatchScratch& scratch, std::span<double> out) noexcept;
-
-/// gather_features + the sweep selected by scratch.kernel. The whole
-/// arena-backed scoring path of both the live and the frozen predictor.
+/// The whole arena-backed scoring path of both the live and the frozen
+/// predictor, in two phases:
+///  - gather: one contiguous column per selected feature (feature i of
+///    context c lands at scratch.features[i * batch + c]), levels read
+///    from the newest sample, slopes regressed over the data window via
+///    scratch.t_buf/v_buf, then scaled and clamped exactly like the
+///    reference path;
+///  - sweep: libm exp, bias-first kernels-in-order accumulation.
+/// `out[c]` is bit-identical to UbfPredictor::score() on contexts[c] (the
+/// conformance contract), whatever the batch around it. Throws
+/// std::invalid_argument (out-of-line, pfm-cold) on an empty context
+/// history.
 void score_batch_soa(const MixtureModelView& m,
                      std::span<const SymptomContext> contexts,
                      std::span<double> out, BatchScratch& scratch);

@@ -1,5 +1,6 @@
 #include "prediction/predictor.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace pfm::pred {
@@ -39,15 +40,18 @@ void EventPredictor::score_batch(std::span<const mon::ErrorSequence> sequences,
 }
 
 void WindowGeometry::validate() const {
-  if (data_window <= 0.0) {
-    throw std::invalid_argument("WindowGeometry: data_window must be > 0");
-  }
-  if (lead_time < 0.0) {
-    throw std::invalid_argument("WindowGeometry: lead_time must be >= 0");
-  }
-  if (prediction_window <= 0.0) {
+  // Each condition is stated positively so that a NaN field fails it.
+  if (!(std::isfinite(data_window) && data_window > 0.0)) {
     throw std::invalid_argument(
-        "WindowGeometry: prediction_window must be > 0");
+        "WindowGeometry: data_window must be finite and > 0");
+  }
+  if (!(std::isfinite(lead_time) && lead_time >= 0.0)) {
+    throw std::invalid_argument(
+        "WindowGeometry: lead_time must be finite and >= 0");
+  }
+  if (!(std::isfinite(prediction_window) && prediction_window > 0.0)) {
+    throw std::invalid_argument(
+        "WindowGeometry: prediction_window must be finite and > 0");
   }
 }
 

@@ -32,17 +32,6 @@ struct SymptomContext {
   double now() const { return history.empty() ? 0.0 : history.back().time; }
 };
 
-/// Compute kernel the arena-backed score_batch overloads sweep with.
-/// kScalar is the libm reference sweep (bit-identical to score()); kSimd
-/// routes the arithmetic through num::simd over the same SoA columns —
-/// scores agree within the documented ULP bound (see DESIGN.md §11),
-/// threshold decisions are pinned identical on the conformance corpus.
-/// The fleet runtime sets this from FleetConfig::kernel.
-enum class BatchKernel : std::uint8_t {
-  kScalar = 0,
-  kSimd = 1,
-};
-
 /// Caller-owned scratch arena for batched scoring. The fleet runtime keeps
 /// one per predictor and threads it through every round, so the hot path
 /// allocates nothing once the buffers reached steady-state size — the
@@ -60,9 +49,6 @@ struct BatchScratch {
   std::vector<double> t_buf;        ///< regression abscissae
   std::vector<double> v_buf;        ///< regression ordinates
   std::vector<std::int32_t> ids;    ///< event-id workspace
-
-  /// Sweep selection for SoA-aware predictors (see BatchKernel).
-  BatchKernel kernel = BatchKernel::kScalar;
 
   /// resize() that only ever grows capacity — the arena's footprint is
   /// monotone, which makes "no reallocation after warm-up" observable.
@@ -112,17 +98,16 @@ class SymptomPredictor {
 
   /// Scores many contexts in one call — the fleet runtime's hot path
   /// (one virtual call per predictor instead of one per node×layer).
-  /// `out[i]` receives score(contexts[i]) — bit for bit on the kScalar
-  /// kernel — and every per-call buffer lives in `scratch`, reused
-  /// across rounds. The default loops score(); predictors with a faster
-  /// batch body override this overload. Concurrent calls must use
-  /// disjoint arenas. Throws std::invalid_argument when the span sizes
-  /// differ.
+  /// `out[i]` receives score(contexts[i]) bit for bit, and every
+  /// per-call buffer lives in `scratch`, reused across rounds. The
+  /// default loops score(); predictors with a faster batch body override
+  /// this overload. Concurrent calls must use disjoint arenas. Throws
+  /// std::invalid_argument when the span sizes differ.
   virtual void score_batch(std::span<const SymptomContext> contexts,
                            std::span<double> out, BatchScratch& scratch) const;
 
   /// Convenience form: forwards to the arena overload with a call-local
-  /// scalar arena.
+  /// arena.
   virtual void score_batch(std::span<const SymptomContext> contexts,
                            std::span<double> out) const;
 };
@@ -150,7 +135,7 @@ class EventPredictor {
                            std::span<double> out, BatchScratch& scratch) const;
 
   /// Convenience form: forwards to the arena overload with a call-local
-  /// scalar arena.
+  /// arena.
   virtual void score_batch(std::span<const mon::ErrorSequence> sequences,
                            std::span<double> out) const;
 };
@@ -162,6 +147,8 @@ struct WindowGeometry {
   double lead_time = 300.0;
   double prediction_window = 300.0;
 
+  /// Throws std::invalid_argument unless every field is finite, the data
+  /// window and prediction period are > 0 and the lead time is >= 0.
   void validate() const;
 };
 

@@ -701,9 +701,7 @@ void UbfPredictor::score_batch(std::span<const SymptomContext> contexts,
   }
   if (!trained_) throw_not_trained();
   // Gather + sweep live in kernels.cpp — the engine shared with the
-  // frozen-artifact path. scratch.kernel picks the sweep: kScalar is
-  // bit-identical to score(), kSimd agrees within the documented ULP
-  // bound (DESIGN.md §11).
+  // frozen-artifact path, bit-identical to score().
   score_batch_soa(score_view(), contexts, out, scratch);
 }
 

@@ -78,8 +78,8 @@ class UbfPredictor final : public SymptomPredictor {
   /// batch into contiguous per-feature columns inside `scratch`, then
   /// sweeps each Eq. 1 kernel over all contexts at once using cached
   /// width-derived constants. Every arithmetic step mirrors score()
-  /// expression-for-expression, so kScalar results are bit-identical to
-  /// it — the conformance suite pins it.
+  /// expression-for-expression, so the results are bit-identical to it
+  /// — the conformance suite pins it.
   void score_batch(std::span<const SymptomContext> contexts,
                    std::span<double> out,
                    BatchScratch& scratch) const override;

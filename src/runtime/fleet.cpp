@@ -24,14 +24,7 @@ FleetController::FleetController(
   for (const auto& n : nodes_) {
     if (!n) throw std::invalid_argument("FleetController: null node");
   }
-  config_.mea.windows.validate();
-  if (config_.mea.evaluation_interval <= 0.0) {
-    throw std::invalid_argument("FleetController: evaluation interval > 0");
-  }
-  if (config_.mea.warning_threshold < 0.0 ||
-      config_.mea.warning_threshold > 1.0) {
-    throw std::invalid_argument("FleetController: threshold in [0,1]");
-  }
+  config_.mea.validate();
   if (config_.num_shards == 0) {
     throw std::invalid_argument("FleetController: num_shards must be >= 1");
   }

@@ -42,12 +42,6 @@ struct FleetConfig {
   /// Threads applied to the fleet loop (caller included). The thread
   /// count never affects results — only wall time.
   std::size_t num_threads = 1;
-  /// Compute kernel of the arena-backed batch scoring. kScalar is
-  /// bit-identical to score(); kSimd sweeps the Eq. 1 kernels through
-  /// num::simd, so scores agree within the documented ULP bound (DESIGN.md
-  /// §11) while every threshold decision — and therefore every sim-time
-  /// export — stays byte-identical on the conformance corpus.
-  pred::BatchKernel kernel = pred::BatchKernel::kScalar;
   /// Loop structure (see FleetScheduler). Defaults to the lockstep
   /// preset; sharding and adaptive sampling are opt-in.
   FleetScheduler scheduler = FleetScheduler::kLockstep;

@@ -74,7 +74,6 @@ void ShardController::resize_predictors(std::size_t num_predictors) {
   breakers_.resize(num_predictors);
   columns_.resize(num_predictors);
   batch_scratch_.resize(num_predictors);
-  for (auto& scratch : batch_scratch_) scratch.kernel = env_.config->kernel;
 }
 
 void ShardController::set_quality(obs::QualityTracker* quality,

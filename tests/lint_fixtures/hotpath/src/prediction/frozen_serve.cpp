@@ -1,4 +1,4 @@
-// hotpath fixture: the SIMD-sweep + frozen-serve shapes. The batch
+// hotpath fixture: the kernel-sweep + frozen-serve shapes. The batch
 // entry point is hot, its lane helper is reached transitively, and the
 // only legal throw is hoisted behind a pfm-cold [[noreturn]] helper.
 #include <cstddef>

@@ -108,8 +108,8 @@ double median(std::vector<double> v) {
 }
 
 /// The calibrated wrappers score a batch through the wrapped predictor's
-/// arena path, then calibrate each score. On the scalar kernel that must
-/// equal per-context calibrated score() bit for bit — for the live UBF
+/// arena path, then calibrate each score. That must equal per-context
+/// calibrated score() bit for bit — for the live UBF
 /// (SoA sweep), its frozen artifact, the trend baseline (regression
 /// scratch) and the HSMM (the base class's score() loop).
 TEST(CalibratedPredictors, ArenaBatchMatchesCalibratedScoreBitForBit) {
@@ -165,7 +165,7 @@ TEST(CalibratedPredictors, ArenaBatchMatchesCalibratedScoreBitForBit) {
       raw[i] = inner->score(contexts[i]);
     }
     const CalibratedSymptomPredictor cal(inner, median(raw));
-    BatchScratch scratch;  // kScalar
+    BatchScratch scratch;
     std::vector<double> batch(contexts.size());
     cal.score_batch(contexts, batch, scratch);
     EXPECT_GT(scratch.capacity_bytes(), 0u)

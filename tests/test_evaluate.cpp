@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace pfm::pred {
@@ -133,6 +134,18 @@ TEST(Evaluate, WindowGeometryValidation) {
   // zero-width data or prediction windows are not.
   g = {600.0, 0.0, 300.0};
   EXPECT_NO_THROW(g.validate());
+  // Non-finite fields pass every plain comparison that NaN makes false;
+  // the checks must reject them anyway.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const WindowGeometry bad :
+       {WindowGeometry{nan, 300.0, 300.0}, WindowGeometry{600.0, nan, 300.0},
+        WindowGeometry{600.0, 300.0, nan}, WindowGeometry{inf, 300.0, 300.0},
+        WindowGeometry{600.0, inf, 300.0}, WindowGeometry{600.0, 300.0, inf}}) {
+    EXPECT_THROW(bad.validate(), std::invalid_argument)
+        << bad.data_window << " " << bad.lead_time << " "
+        << bad.prediction_window;
+  }
 }
 
 }  // namespace

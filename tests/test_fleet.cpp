@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -191,6 +192,19 @@ TEST(Fleet, RejectsInvalidConfigurations) {
   EXPECT_THROW(runtime::FleetController(
                    runtime::make_scp_fleet(fleet_config(), 1), bad_threshold),
                std::invalid_argument);
+
+  // NaN fails no plain comparison: a NaN interval would quarantine every
+  // node as stalled, and a NaN threshold would warn on every evaluation.
+  const double nan = std::nan("");
+  runtime::FleetConfig nan_interval, nan_threshold, nan_cooldown;
+  nan_interval.mea.evaluation_interval = nan;
+  nan_threshold.mea.warning_threshold = nan;
+  nan_cooldown.mea.action_cooldown = nan;
+  for (const auto& bad : {nan_interval, nan_threshold, nan_cooldown}) {
+    EXPECT_THROW(runtime::FleetController(
+                     runtime::make_scp_fleet(fleet_config(), 1), bad),
+                 std::invalid_argument);
+  }
 
   auto fleet = make_fleet(1, 1);
   EXPECT_THROW(fleet->add_symptom_predictor(nullptr), std::invalid_argument);

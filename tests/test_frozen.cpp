@@ -1,8 +1,9 @@
 // Frozen compiled-predictor artifact suite (DESIGN.md §11): the
 // train -> freeze -> serve round trip must be bit-identical on the score
-// grid, corrupt artifacts must fail with typed errors (never UB — this
-// suite is in the sanitizer label set), and a frozen fleet must export
-// byte-identically to the live fleet it was frozen from.
+// grid, the batch sweep both predictors share must not depend on batch
+// composition, corrupt artifacts must fail with typed errors (never UB —
+// this suite is in the sanitizer label set), and a frozen fleet must
+// export byte-identically to the live fleet it was frozen from.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -13,12 +14,12 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "numerics/rng.hpp"
-#include "numerics/simd.hpp"
 #include "obs/export.hpp"
 #include "obs/observability.hpp"
 #include "prediction/frozen.hpp"
@@ -126,7 +127,7 @@ TEST(Frozen, RoundTripPreservesEveryModelBit) {
   EXPECT_EQ(p.name(), "UBF");
   EXPECT_EQ(p.header().num_kernels, model.num_kernels());
   EXPECT_EQ(p.header().dim, model.dim());
-  EXPECT_EQ(p.header().lane_width, num::simd::kLanes);
+  EXPECT_EQ(p.header().lane_width, 4u);  // fixed by format v1
   EXPECT_EQ(bits(p.windows().data_window), bits(model.windows.data_window));
   EXPECT_EQ(bits(p.windows().lead_time), bits(model.windows.lead_time));
   EXPECT_EQ(bits(p.windows().prediction_window),
@@ -134,17 +135,22 @@ TEST(Frozen, RoundTripPreservesEveryModelBit) {
 }
 
 TEST(Frozen, FrozenScoresAreBitIdenticalToTheLiveEngineOnAGrid) {
-  const auto model = synthetic_model();
+  // Per case a fresh model is frozen and served; on the same corpus the
+  // frozen batch, the live batch and the frozen score() must agree bit
+  // for bit.
   const auto path = temp_path("grid.pfmfrozen");
-  ASSERT_EQ(pred::freeze(model, path), pred::FrozenError::kOk);
-  auto loaded = pred::FrozenPredictor::load(path);
-  ASSERT_EQ(loaded.error, pred::FrozenError::kOk);
-
   proptest::run_cases(
       "frozen-vs-live", 301, 20, [&](num::Rng& rng, std::size_t i) {
+        const auto k = static_cast<std::size_t>(rng.uniform_int(1, 6));
+        const auto dim = static_cast<std::size_t>(rng.uniform_int(1, 5));
         const auto batch = static_cast<std::size_t>(rng.uniform_int(1, 33));
+        const auto model =
+            synthetic_model(proptest::case_seed(700, i), k, dim);
+        ASSERT_EQ(pred::freeze(model, path), pred::FrozenError::kOk);
+        auto loaded = pred::FrozenPredictor::load(path);
+        ASSERT_EQ(loaded.error, pred::FrozenError::kOk);
         const auto corpus =
-            score_grid(proptest::case_seed(900, i), batch, model.dim());
+            score_grid(proptest::case_seed(900, i), batch, dim);
         const auto view = model.view();
 
         std::vector<double> live(batch), frozen(batch);
@@ -158,16 +164,60 @@ TEST(Frozen, FrozenScoresAreBitIdenticalToTheLiveEngineOnAGrid) {
                     bits(loaded.predictor->score(corpus.contexts[c])))
               << "score() vs batch, context " << c;
         }
-        // The kSimd sweep serves from the same mapped arrays: agreement
-        // with the live kSimd sweep is bit-exact too.
-        pred::BatchScratch simd_live, simd_frozen;
-        simd_live.kernel = pred::BatchKernel::kSimd;
-        simd_frozen.kernel = pred::BatchKernel::kSimd;
-        std::vector<double> a(batch), b(batch);
-        pred::score_batch_soa(view, corpus.contexts, a, simd_live);
-        loaded.predictor->score_batch(corpus.contexts, b, simd_frozen);
+      });
+}
+
+// --- the batch sweep ---------------------------------------------------------
+//
+// SimdSweep covers score_batch_soa's column-major (SoA) sweep, the one
+// scoring path of the live and the frozen predictor alike.
+
+TEST(SimdSweep, BatchCompositionNeverChangesTheBits) {
+  // Scoring a corpus whole vs in two sub-batches must agree bit for bit:
+  // the SoA gather re-packs columns per batch, but each context's sweep is
+  // independent of its neighbours, so batch geometry is unobservable.
+  proptest::run_cases(
+      "sweep-composition", 202, 20, [](num::Rng& rng, std::size_t i) {
+        const auto k = static_cast<std::size_t>(rng.uniform_int(1, 6));
+        const auto dim = static_cast<std::size_t>(rng.uniform_int(1, 5));
+        const auto batch = static_cast<std::size_t>(rng.uniform_int(2, 21));
+        const auto cut = static_cast<std::size_t>(
+            rng.uniform_int(1, static_cast<std::int64_t>(batch) - 1));
+        const auto model =
+            synthetic_model(proptest::case_seed(702, i), k, dim);
+        const auto corpus =
+            score_grid(proptest::case_seed(902, i), batch, dim);
+        const auto view = model.view();
+        const std::span<const pred::SymptomContext> all = corpus.contexts;
+
+        pred::BatchScratch scratch;
+        std::vector<double> whole(batch), split(batch);
+        const std::span<double> halves = split;
+        pred::score_batch_soa(view, all, whole, scratch);
+        pred::score_batch_soa(view, all.subspan(0, cut), halves.subspan(0, cut),
+                              scratch);
+        pred::score_batch_soa(view, all.subspan(cut), halves.subspan(cut),
+                              scratch);
         for (std::size_t c = 0; c < batch; ++c) {
-          ASSERT_EQ(bits(a[c]), bits(b[c])) << "simd context " << c;
+          ASSERT_EQ(bits(whole[c]), bits(split[c]))
+              << "batch=" << batch << " cut=" << cut << " context " << c;
+        }
+      });
+}
+
+TEST(SimdSweep, ScalarSweepIsBitIdenticalToScoreOne) {
+  proptest::run_cases(
+      "scalar-vs-score-one", 203, 15, [](num::Rng&, std::size_t i) {
+        const auto model = synthetic_model(proptest::case_seed(703, i), 5, 4);
+        const auto corpus = score_grid(proptest::case_seed(903, i), 9, 4);
+        const auto view = model.view();
+        pred::BatchScratch scratch;
+        std::vector<double> out(corpus.contexts.size());
+        pred::score_batch_soa(view, corpus.contexts, out, scratch);
+        for (std::size_t c = 0; c < corpus.contexts.size(); ++c) {
+          ASSERT_EQ(bits(out[c]),
+                    bits(pred::score_one(view, corpus.contexts[c])))
+              << "context " << c;
         }
       });
 }
@@ -252,9 +302,10 @@ TEST_F(FrozenCorruption, UnsupportedVersionIsTyped) {
 }
 
 TEST_F(FrozenCorruption, WrongLaneWidthIsTyped) {
-  // lane_width sits after magic (8) + version (4) + flags (4).
+  // lane_width sits after magic (8) + version (4) + flags (4); format v1
+  // fixes it at 4.
   auto data = artifact_;
-  const std::uint32_t lanes = num::simd::kLanes * 2;
+  const std::uint32_t lanes = 8;
   std::memcpy(data.data() + 16, &lanes, sizeof(lanes));
   EXPECT_EQ(load_mutated(data), pred::FrozenError::kLaneMismatch);
 }
@@ -359,8 +410,7 @@ struct Artifacts {
   std::string json_line;
 };
 
-Artifacts run_fleet(std::shared_ptr<const pred::SymptomPredictor> predictor,
-                    pred::BatchKernel kernel) {
+Artifacts run_fleet(std::shared_ptr<const pred::SymptomPredictor> predictor) {
   obs::ObservabilityConfig ocfg;
   ocfg.shards = 2;
   obs::Observability hub(ocfg);
@@ -375,7 +425,6 @@ Artifacts run_fleet(std::shared_ptr<const pred::SymptomPredictor> predictor,
   cfg.mea.warning_threshold = 0.6;
   cfg.mea.action_cooldown = 600.0;
   cfg.num_threads = 2;
-  cfg.kernel = kernel;
   cfg.obs = &hub;
 
   runtime::FleetController fleet(runtime::make_scp_fleet(sim, 4), cfg);
@@ -416,13 +465,10 @@ TEST(Frozen, TrainFreezeServeFleetExportsAreByteIdentical) {
   std::shared_ptr<const pred::SymptomPredictor> frozen =
       std::move(loaded.predictor);
 
-  for (auto kernel : {pred::BatchKernel::kScalar, pred::BatchKernel::kSimd}) {
-    SCOPED_TRACE(kernel == pred::BatchKernel::kSimd ? "simd" : "scalar");
-    const auto live = run_fleet(ubf, kernel);
-    const auto served = run_fleet(frozen, kernel);
-    EXPECT_EQ(live.prometheus, served.prometheus);
-    EXPECT_EQ(live.json_line, served.json_line);
-  }
+  const auto live = run_fleet(ubf);
+  const auto served = run_fleet(frozen);
+  EXPECT_EQ(live.prometheus, served.prometheus);
+  EXPECT_EQ(live.json_line, served.json_line);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "runtime/scp_system.hpp"
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 
@@ -57,6 +58,22 @@ TEST(Mea, ConfigValidation) {
   EXPECT_THROW(MeaController(system, cfg), std::invalid_argument);
   cfg = MeaConfig{};
   cfg.warning_threshold = 1.5;
+  EXPECT_THROW(MeaController(system, cfg), std::invalid_argument);
+  // NaN fails no plain comparison, so each check must reject it
+  // explicitly: a NaN interval never advances run(), a NaN threshold
+  // silences every warning and a NaN cooldown disables every action.
+  const double nan = std::nan("");
+  cfg = MeaConfig{};
+  cfg.evaluation_interval = nan;
+  EXPECT_THROW(MeaController(system, cfg), std::invalid_argument);
+  cfg = MeaConfig{};
+  cfg.warning_threshold = nan;
+  EXPECT_THROW(MeaController(system, cfg), std::invalid_argument);
+  cfg = MeaConfig{};
+  cfg.action_cooldown = nan;
+  EXPECT_THROW(MeaController(system, cfg), std::invalid_argument);
+  cfg = MeaConfig{};
+  cfg.windows.data_window = nan;
   EXPECT_THROW(MeaController(system, cfg), std::invalid_argument);
   cfg = MeaConfig{};
   MeaController mea(system, cfg);

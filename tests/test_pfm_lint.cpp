@@ -128,7 +128,7 @@ TEST(PfmLint, HotpathRuleFlagsClosureViolationsAtExactLines) {
             }));
   for (const auto& f : findings) EXPECT_EQ(f.rule, "hotpath");
   ASSERT_EQ(findings.size(), 7u);
-  // The one-hop SIMD-sweep finding names the hot batch seed; the hoisted
+  // The one-hop kernel-sweep finding names the hot batch seed; the hoisted
   // pfm-cold [[noreturn]] throw helper it calls is rightly absent.
   EXPECT_NE(findings[0].message.find(
                 "in 'mixture_sweep', reached from pfm-hot "
