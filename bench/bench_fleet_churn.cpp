@@ -199,46 +199,31 @@ void print_churn_sweep(const TrainedBaselines& preds) {
 
 /// Overhead arm: the membership barrier on every epoch, with a policy
 /// armed but never firing and zero planned churn, vs the inactive
-/// default. Best-of-N wall times keep scheduler noise out of the gated
-/// ratio (< 5%).
+/// default, as the median over interleaved off/on pairs (gated < 5%).
 void print_churn_overhead(const TrainedBaselines& preds) {
   std::printf("== elastic overhead: armed-but-idle membership vs off ==\n");
-  const int kReps = g_quick ? 2 : 3;
-
-  double baseline = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto r = run_churn_fleet(preds, membership::MembershipConfig{});
-    baseline = rep == 0 ? r.wall : std::min(baseline, r.wall);
-  }
-
   membership::MembershipConfig armed;
   armed.policy.enabled = true;
   armed.policy.scale_up_mass = 1e18;  // never crossed
   armed.policy.drain_score = 2.0;     // scores are probabilities <= 1
   armed.policy.failover_replace = false;
   armed.factory = scp_factory();
-  double observed = 0.0;
   std::uint64_t joined = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto r = run_churn_fleet(preds, armed);
-    observed = rep == 0 ? r.wall : std::min(observed, r.wall);
-    joined = r.t.membership.nodes_joined;
-  }
-
-  const double overhead_pct =
-      baseline > 0.0 ? (observed / baseline - 1.0) * 100.0 : 0.0;
+  const auto o = bench::paired_overhead(
+      [&] { return run_churn_fleet(preds, membership::MembershipConfig{}).wall; },
+      [&] {
+        const auto r = run_churn_fleet(preds, armed);
+        joined += r.t.membership.nodes_joined;
+        return r.wall;
+      });
   std::printf("  baseline %.3f s, armed %.3f s -> overhead %+.2f%% "
-              "(%llu policy joins — must be 0)\n\n",
-              baseline, observed, overhead_pct,
-              static_cast<unsigned long long>(joined));
-  bench::JsonLine()
-      .field("bench", "fleet_churn_overhead")
-      .field("nodes", kFleetNodes)
-      .field("baseline_seconds", baseline)
-      .field("observed_seconds", observed)
-      .field("overhead_pct", overhead_pct)
-      .field("policy_joins", joined)
-      .emit();
+              "(median of %zu pairs, %+.2f%%..%+.2f%%; %llu policy joins "
+              "— must be 0)\n\n",
+              o.baseline_seconds, o.observed_seconds, o.median_pct, o.pairs,
+              o.min_pct, o.max_pct, static_cast<unsigned long long>(joined));
+  bench::JsonLine row;
+  row.field("bench", "fleet_churn_overhead").field("nodes", kFleetNodes);
+  o.fields(row).field("policy_joins", joined).emit();
 }
 
 }  // namespace

@@ -182,40 +182,26 @@ void print_quality_scoreboard(const TrainedBaselines& preds) {
 }
 
 /// Overhead arm: scoreboard + flight recorder on vs off on an otherwise
-/// identical fleet. Best-of-N wall times keep scheduler noise out of the
-/// gated ratio (< 5%).
+/// identical fleet, as the median over interleaved off/on pairs (gated
+/// < 5%).
 void print_quality_overhead(const TrainedBaselines& preds) {
   std::printf("== quality overhead: scoreboard + flight recorder vs off ==\n");
-  const int kReps = g_quick ? 2 : 3;
-
-  double baseline = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto r = run_quality_fleet(preds, /*quality_on=*/false);
-    baseline = rep == 0 ? r.wall : std::min(baseline, r.wall);
-  }
-
-  double observed = 0.0;
   std::uint64_t resolved = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto r = run_quality_fleet(preds, /*quality_on=*/true);
-    observed = rep == 0 ? r.wall : std::min(observed, r.wall);
-    resolved = r.lifetime.total();
-  }
-
-  const double overhead_pct =
-      baseline > 0.0 ? (observed / baseline - 1.0) * 100.0 : 0.0;
+  const auto o = bench::paired_overhead(
+      [&] { return run_quality_fleet(preds, /*quality_on=*/false).wall; },
+      [&] {
+        const auto r = run_quality_fleet(preds, /*quality_on=*/true);
+        resolved = r.lifetime.total();
+        return r.wall;
+      });
   std::printf("  baseline %.3f s, scoreboard %.3f s -> overhead %+.2f%% "
-              "(%llu instants resolved — must be > 0)\n\n",
-              baseline, observed, overhead_pct,
-              static_cast<unsigned long long>(resolved));
-  bench::JsonLine()
-      .field("bench", "fleet_quality_overhead")
-      .field("nodes", kFleetNodes)
-      .field("baseline_seconds", baseline)
-      .field("observed_seconds", observed)
-      .field("overhead_pct", overhead_pct)
-      .field("instants_resolved", resolved)
-      .emit();
+              "(median of %zu pairs, %+.2f%%..%+.2f%%; %llu instants "
+              "resolved — must be > 0)\n\n",
+              o.baseline_seconds, o.observed_seconds, o.median_pct, o.pairs,
+              o.min_pct, o.max_pct, static_cast<unsigned long long>(resolved));
+  bench::JsonLine row;
+  row.field("bench", "fleet_quality_overhead").field("nodes", kFleetNodes);
+  o.fields(row).field("instants_resolved", resolved).emit();
 }
 
 }  // namespace

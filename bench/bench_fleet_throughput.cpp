@@ -314,49 +314,42 @@ void print_shard_scaling(const TrainedBaselines& preds) {
 
 /// Observability overhead arm: the same fleet run with the default
 /// private metrics-only hub (the deployed baseline) vs an external hub
-/// with tracing live. Best-of-N wall times keep scheduler noise out of
-/// the ratio; the acceptance budget is < 5% overhead.
+/// with tracing live, as the median over interleaved off/on pairs; the
+/// acceptance budget is < 5% overhead.
 void print_obs_overhead(const TrainedBaselines& preds) {
   std::printf("== obs overhead: full hub (metrics + tracing) vs default ==\n");
   constexpr std::size_t kThreads = 4;
-  const int kReps = g_quick ? 1 : 3;
-
-  double baseline = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    double wall = 0.0;
-    run_fleet(preds, kThreads, &wall);
-    baseline = rep == 0 ? wall : std::min(baseline, wall);
-  }
-
-  double observed = 0.0;
   std::uint64_t spans_recorded = 0;
   std::uint64_t spans_dropped = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    obs::ObservabilityConfig ocfg;
-    ocfg.shards = kThreads;
-    ocfg.trace_capacity = 1 << 16;
-    obs::Observability hub(ocfg);
-    double wall = 0.0;
-    run_fleet(preds, kThreads, &wall, &hub);
-    observed = rep == 0 ? wall : std::min(observed, wall);
-    spans_recorded = hub.trace().recorded();
-    spans_dropped = hub.trace().dropped();
-  }
-
-  const double overhead_pct =
-      baseline > 0.0 ? (observed / baseline - 1.0) * 100.0 : 0.0;
+  const auto o = bench::paired_overhead(
+      [&] {
+        double wall = 0.0;
+        run_fleet(preds, kThreads, &wall);
+        return wall;
+      },
+      [&] {
+        obs::ObservabilityConfig ocfg;
+        ocfg.shards = kThreads;
+        ocfg.trace_capacity = 1 << 16;
+        obs::Observability hub(ocfg);
+        double wall = 0.0;
+        run_fleet(preds, kThreads, &wall, &hub);
+        spans_recorded = hub.trace().recorded();
+        spans_dropped = hub.trace().dropped();
+        return wall;
+      });
   std::printf("  baseline %.3f s, observed %.3f s -> overhead %+.2f%% "
-              "(%llu spans, %llu dropped)\n\n",
-              baseline, observed, overhead_pct,
+              "(median of %zu pairs, %+.2f%%..%+.2f%%; %llu spans, "
+              "%llu dropped)\n\n",
+              o.baseline_seconds, o.observed_seconds, o.median_pct, o.pairs,
+              o.min_pct, o.max_pct,
               static_cast<unsigned long long>(spans_recorded),
               static_cast<unsigned long long>(spans_dropped));
-  bench::JsonLine()
-      .field("bench", "fleet_obs_overhead")
+  bench::JsonLine row;
+  row.field("bench", "fleet_obs_overhead")
       .field("nodes", kFleetNodes)
-      .field("threads", kThreads)
-      .field("baseline_seconds", baseline)
-      .field("observed_seconds", observed)
-      .field("overhead_pct", overhead_pct)
+      .field("threads", kThreads);
+  o.fields(row)
       .field("spans_recorded", spans_recorded)
       .field("spans_dropped", spans_dropped)
       .emit();

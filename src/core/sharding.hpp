@@ -4,19 +4,13 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "numerics/rng.hpp"
+
 namespace pfm::core {
 
-/// splitmix64 finalizer over a + 0x9e3779b97f4a7c15 * (b + 1): the one
-/// mixer behind every seeded stream — per-node simulator seeds, membership
-/// joiner seeds and the fault injector's decision streams. Neighbouring
-/// (a, b) pairs land far apart in seed space, and chaining it derives
-/// independent sub-streams, e.g. mix64(mix64(seed, slot), incarnation).
-constexpr std::uint64_t mix64(std::uint64_t a, std::uint64_t b) noexcept {
-  std::uint64_t z = a + 0x9e3779b97f4a7c15ULL * (b + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+/// The one seed mixer (splitmix64 finalizer) behind every seeded stream;
+/// it lives in numerics next to the Rng it seeds.
+using num::mix64;
 
 /// Deterministic contiguous-block partition of a fleet into shards: shard
 /// `s` owns the global node indices [begin(s), end(s)). Blocks differ in

@@ -1,71 +1,82 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <vector>
 
 namespace pfm::num {
 
+/// splitmix64 finalizer over a + 0x9e3779b97f4a7c15 * (b + 1): the one
+/// mixer behind every seeded stream — the Rng state words, per-node
+/// simulator seeds, membership joiner seeds and the fault injector's
+/// decision streams. Neighbouring (a, b) pairs land far apart in seed
+/// space, and chaining it derives independent sub-streams, e.g.
+/// mix64(mix64(seed, slot), incarnation).
+constexpr std::uint64_t mix64(std::uint64_t a, std::uint64_t b) noexcept {
+  std::uint64_t z = a + 0x9e3779b97f4a7c15ULL * (b + 1);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// Seedable random number generator used throughout the library.
 ///
 /// All stochastic components receive an Rng by reference (no global state),
 /// which keeps simulations and training runs reproducible: the same seed
-/// yields the same traces, datasets and fitted models.
+/// yields the same traces, datasets and fitted models. The engine is
+/// xoshiro256** (Blackman & Vigna 2018) with state words mix64(seed, 0..3),
+/// and every sampler is written here, so a seed names the same stream with
+/// any C++ standard library; only libm's exp/log/sqrt/pow are borrowed.
+///
+/// Samplers throw std::invalid_argument for parameters outside their
+/// domain (NaN included) instead of returning a silent garbage draw.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) : gen_(seed) {}
+  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL)
+      : s_{mix64(seed, 0), mix64(seed, 1), mix64(seed, 2), mix64(seed, 3)} {}
 
-  /// Uniform double in [0, 1).
-  double uniform() { return unit_(gen_); }
-
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
-
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(gen_);
+  /// Uniform double in [0, 1): the top 53 bits of one engine output.
+  double uniform() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
   }
 
-  /// Standard normal draw.
-  double normal() { return normal_(gen_); }
+  /// Uniform double in [lo, hi).
+  double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * uniform();
+  }
+
+  /// Unbiased uniform integer in [lo, hi] inclusive. Throws when lo > hi.
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
+
+  /// Standard normal draw (Marsaglia polar method; every second call
+  /// returns the pair's cached partner).
+  double normal();
 
   /// Normal draw with the given mean and standard deviation.
   double normal(double mean, double stddev) {
     return mean + stddev * normal();
   }
 
-  /// Exponential draw with the given rate (mean 1/rate).
-  double exponential(double rate) {
-    return std::exponential_distribution<double>(rate)(gen_);
-  }
+  /// Exponential draw with the given rate (mean 1/rate), by inversion.
+  /// Throws unless the rate is finite and positive.
+  double exponential(double rate);
 
-  /// Weibull draw with shape k and scale lambda.
-  double weibull(double shape, double scale) {
-    return std::weibull_distribution<double>(shape, scale)(gen_);
-  }
+  /// Weibull draw with shape k and scale lambda, by inversion. Throws
+  /// unless both are finite and positive.
+  double weibull(double shape, double scale);
 
-  /// Lognormal draw with the given log-space mean/stddev.
-  double lognormal(double mu, double sigma) {
-    return std::lognormal_distribution<double>(mu, sigma)(gen_);
-  }
-
-  /// Poisson draw with the given mean.
-  ///
-  /// Deliberately out-of-line: the definition lives in the translation
-  /// unit that interposes a reentrant lgamma, so every binary drawing
-  /// Poisson variates links the race-free version (see rng.cpp).
+  /// Poisson draw with the given mean: sequential inversion below mean
+  /// 10, Hörmann's PTRS transformed rejection from 10 up. Throws unless
+  /// the mean is finite, non-negative and below 2^62.
   std::int64_t poisson(double mean);
 
-  /// Bernoulli draw.
-  bool bernoulli(double p) {
-    return std::bernoulli_distribution(p)(gen_);
-  }
+  /// Bernoulli draw: true with probability p.
+  bool bernoulli(double p) noexcept { return uniform() < p; }
 
-  /// Gamma draw with shape and scale.
-  double gamma(double shape, double scale) {
-    return std::gamma_distribution<double>(shape, scale)(gen_);
-  }
+  /// Gamma draw with shape and scale (Marsaglia–Tsang; shapes below 1 use
+  /// the U^(1/shape) boost). Throws unless both are finite and positive.
+  double gamma(double shape, double scale);
 
   /// Index draw from unnormalized nonnegative weights.
   /// Throws std::invalid_argument when weights are empty or all zero.
@@ -74,13 +85,23 @@ class Rng {
   /// Fisher-Yates shuffle of an index set {0..n-1}.
   std::vector<std::size_t> permutation(std::size_t n);
 
-  /// Underlying engine, for interop with <random> distributions.
-  std::mt19937_64& engine() noexcept { return gen_; }
-
  private:
-  std::mt19937_64 gen_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
-  std::normal_distribution<double> normal_{0.0, 1.0};
+  /// Next raw 64-bit engine output.
+  std::uint64_t next() noexcept {
+    const std::uint64_t out = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return out;
+  }
+
+  std::uint64_t s_[4];
+  double spare_normal_ = 0.0;
+  bool has_spare_normal_ = false;
 };
 
 }  // namespace pfm::num

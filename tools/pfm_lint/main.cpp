@@ -27,6 +27,7 @@ void usage(std::FILE* out) {
       "                  runtime-free, numerics is a leaf, injection wraps\n"
       "                  public contracts only)\n"
       "  determinism     no rand()/random_device/system_clock, no\n"
+      "                  <random> engines or std::*_distribution, no\n"
       "                  address-keyed containers, no unordered iteration\n"
       "                  in src/\n"
       "  concurrency     no mutable statics, no volatile-as-sync, no\n"

@@ -18,9 +18,13 @@ The interesting properties:
     overhead measurement), or when the arm's row is missing;
   - the frozen-serving gate fires when the artifact serving rate drops
     below 0.7x the live engine's, or when the row is missing;
+  - every overhead gate reads the paired median and refuses a row
+    measured from fewer than five off/on pairs;
   - benches sharing an output file (the three fleet benches all feed
     BENCH_fleet.json) merge into one array in bench order, never
-    clobbering each other.
+    clobbering each other;
+  - every written row carries the host signature: CPU count, and the
+    compiler and build type from the build directory's CMakeCache.txt.
 """
 
 import json
@@ -117,30 +121,93 @@ class FrozenServingGateTest(unittest.TestCase):
                 [{"bench": "fleet_throughput", "wall_seconds": 1.0}])
 
 
+def paired_fields(overhead_pct, pairs):
+    return {"pairs": pairs, "baseline_seconds": 1.0,
+            "observed_seconds": 1.0 + overhead_pct / 100.0,
+            "overhead_pct": overhead_pct,
+            "overhead_min_pct": overhead_pct - 2.0,
+            "overhead_max_pct": overhead_pct + 2.0}
+
+
+def obs_overhead_row(overhead_pct, pairs=7):
+    return {"bench": "fleet_obs_overhead", "nodes": 16, "threads": 4,
+            **paired_fields(overhead_pct, pairs),
+            "spans_recorded": 1000, "spans_dropped": 0}
+
+
 class ObsOverheadTest(unittest.TestCase):
     def test_overhead_above_budget_fails(self):
         with self.assertRaises(SystemExit):
-            bench_to_json.check_obs_overhead(
-                [{"bench": "fleet_obs_overhead", "overhead_pct": 7.5}])
+            bench_to_json.check_obs_overhead([obs_overhead_row(7.5)])
 
     def test_overhead_within_budget_passes(self):
-        bench_to_json.check_obs_overhead(
-            [{"bench": "fleet_obs_overhead", "overhead_pct": 1.2}])
+        bench_to_json.check_obs_overhead([obs_overhead_row(1.2)])
 
 
-def churn_overhead_row(overhead_pct, policy_joins=0):
+def churn_overhead_row(overhead_pct, policy_joins=0, pairs=7):
     return {"bench": "fleet_churn_overhead", "nodes": 16,
-            "baseline_seconds": 1.0,
-            "observed_seconds": 1.0 + overhead_pct / 100.0,
-            "overhead_pct": overhead_pct, "policy_joins": policy_joins}
+            **paired_fields(overhead_pct, pairs),
+            "policy_joins": policy_joins}
 
 
-def quality_overhead_row(overhead_pct, instants_resolved=4000):
+def quality_overhead_row(overhead_pct, instants_resolved=4000, pairs=7):
     return {"bench": "fleet_quality_overhead", "nodes": 16,
-            "baseline_seconds": 1.0,
-            "observed_seconds": 1.0 + overhead_pct / 100.0,
-            "overhead_pct": overhead_pct,
+            **paired_fields(overhead_pct, pairs),
             "instants_resolved": instants_resolved}
+
+
+class PairedOverheadTest(unittest.TestCase):
+    def test_gate_reads_the_median_not_the_spread(self):
+        # A max above budget is one noisy pair; only the median is gated.
+        row = obs_overhead_row(2.0)
+        row["overhead_max_pct"] = 12.0
+        bench_to_json.check_obs_overhead([row])
+
+    def test_fewer_than_five_pairs_fail_every_gate(self):
+        for check, row in (
+                (bench_to_json.check_obs_overhead, obs_overhead_row(1.0, 4)),
+                (bench_to_json.check_churn_overhead,
+                 churn_overhead_row(1.0, pairs=4)),
+                (bench_to_json.check_quality_overhead,
+                 quality_overhead_row(1.0, pairs=4))):
+            with self.assertRaises(SystemExit):
+                check([row])
+
+    def test_five_pairs_suffice(self):
+        bench_to_json.check_obs_overhead([obs_overhead_row(1.0, 5)])
+        bench_to_json.check_churn_overhead([churn_overhead_row(1.0, pairs=5)])
+        bench_to_json.check_quality_overhead(
+            [quality_overhead_row(1.0, pairs=5)])
+
+    def test_row_without_pairs_fails(self):
+        row = obs_overhead_row(1.0)
+        del row["pairs"]
+        with self.assertRaises(SystemExit):
+            bench_to_json.check_obs_overhead([row])
+
+
+class HostSignatureTest(unittest.TestCase):
+    def test_reads_compiler_and_build_type_from_the_cache(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            compiler = tmp / "g++-real"
+            compiler.write_text("")
+            (tmp / "c++").symlink_to(compiler)
+            (tmp / "CMakeCache.txt").write_text(
+                "# comment\n"
+                "//CMAKE_BUILD_TYPE help text\n"
+                "CMAKE_BUILD_TYPE:STRING=Release\n"
+                f"CMAKE_CXX_COMPILER:FILEPATH={tmp / 'c++'}\n")
+            host = bench_to_json.host_signature(tmp)
+            self.assertEqual(host["nproc"], os.cpu_count())
+            self.assertEqual(host["build_type"], "Release")
+            self.assertEqual(host["compiler"], os.path.realpath(compiler))
+
+    def test_missing_cache_leaves_compiler_and_build_type_empty(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            host = bench_to_json.host_signature(pathlib.Path(tmp))
+            self.assertEqual(host["compiler"], "")
+            self.assertEqual(host["build_type"], "")
 
 
 class QualityGateTest(unittest.TestCase):
@@ -276,6 +343,8 @@ class MainAtomicityTest(unittest.TestCase):
                             self.good_quality_lines())
             self.fake_bench(bench_dir, "bench_fault_injection",
                             [json.dumps({"bench": "injection", "arm": "x"})])
+            (tmp / "build" / "CMakeCache.txt").write_text(
+                "CMAKE_BUILD_TYPE:STRING=RelWithDebInfo\n")
             out = tmp / "out"
             self.run_main(tmp / "build", out)
             fleet = json.loads((out / "BENCH_fleet.json").read_text())
@@ -290,6 +359,9 @@ class MainAtomicityTest(unittest.TestCase):
             self.assertEqual(fleet[7]["bench"], "fleet_quality_overhead")
             injection = json.loads((out / "BENCH_injection.json").read_text())
             self.assertEqual(injection[0]["bench"], "injection")
+            for row in fleet + injection:
+                self.assertEqual(row["host"]["build_type"], "RelWithDebInfo")
+                self.assertEqual(row["host"]["nproc"], os.cpu_count())
 
 
 if __name__ == "__main__":
