@@ -5,7 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 
 #include "bench_common.hpp"
 #include "ctmc/pfm_model.hpp"
@@ -25,7 +27,7 @@ struct Fixture {
   std::unique_ptr<pred::HsmmPredictor> hsmm;
   std::unique_ptr<pred::DftPredictor> dft;
   std::unique_ptr<pred::EventsetPredictor> eventset;
-  std::vector<mon::SymptomSample> context_samples;
+  std::vector<mon::SymptomSample> context_samples;  // 240, oldest first
   mon::ErrorSequence probe_seq;
 
   Fixture() {
@@ -56,22 +58,33 @@ struct Fixture {
     const auto samples = test.samples();
     context_samples.assign(samples.begin(),
                            samples.begin() + std::min<std::size_t>(
-                                                 20, samples.size()));
-    // Pick a probe window that actually contains error events (the test
-    // trace's time axis starts at the split point, not at zero).
-    double t0 = test.start_time();
-    for (; t0 < test.end_time(); t0 += 600.0) {
-      probe_seq.events = test.events_in(t0, t0 + 600.0);
-      if (probe_seq.events.size() >= 3) break;
+                                                 kMaxContext, samples.size()));
+    // A probe of fixed length: the test trace's first kProbeEvents events,
+    // re-timed 20 s apart so the last lands on the probe's end. Event
+    // scores are linear in the event count, so a probe cut from a fixed
+    // time window would follow the simulator's random stream instead of
+    // the scoring code.
+    const auto events = test.events();
+    const std::size_t n = std::min(kProbeEvents, events.size());
+    probe_seq.end_time = test.start_time() + 600.0;
+    probe_seq.events.assign(events.begin(), events.begin() + n);
+    for (std::size_t i = 0; i < n; ++i) {
+      probe_seq.events[i].time =
+          probe_seq.end_time - 20.0 * static_cast<double>(n - 1 - i);
     }
-    probe_seq.end_time = t0 + 600.0;
   }
 
-  pred::SymptomContext context() const {
+  /// The newest `length` samples of the context, like a fleet node's
+  /// trailing context of that length.
+  pred::SymptomContext context(std::size_t length) const {
     pred::SymptomContext ctx;
-    ctx.history = context_samples;
+    ctx.history = std::span<const mon::SymptomSample>(context_samples)
+                      .last(std::min(length, context_samples.size()));
     return ctx;
   }
+
+  static constexpr std::size_t kMaxContext = 240;
+  static constexpr std::size_t kProbeEvents = 30;
 };
 
 Fixture& fixture() {
@@ -79,12 +92,15 @@ Fixture& fixture() {
   return f;
 }
 
+// Argument: context length in samples (the MeaConfig default, and the
+// 240-sample contexts of the perfbench fleet_serving workload). The slope
+// features regress over the data window's samples only.
 void BM_UbfScore(benchmark::State& state) {
   auto& f = fixture();
-  const auto ctx = f.context();
+  const auto ctx = f.context(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) benchmark::DoNotOptimize(f.ubf->score(ctx));
 }
-BENCHMARK(BM_UbfScore);
+BENCHMARK(BM_UbfScore)->Arg(20)->Arg(240);
 
 void BM_HsmmScore(benchmark::State& state) {
   auto& f = fixture();

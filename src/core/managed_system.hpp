@@ -105,7 +105,11 @@ class ManagedSystem {
   // --- monitoring (the Monitor phase's output) ------------------------------
 
   /// The monitoring trace accumulated so far: symptom samples, error
-  /// events and failure log.
+  /// events and failure log. A reader that only needs a trailing window
+  /// releases the rest through the returned object
+  /// (MonitoringDataset::release); the fleet runtime does, so a fleet
+  /// node's trace holds just the fleet's windows. Decorators forward
+  /// trace() and thereby the release, with no further hook to implement.
   virtual const mon::MonitoringDataset& trace() const = 0;
 
   /// Trailing window of at most `max_samples` symptom samples plus the

@@ -153,6 +153,11 @@ void MeaConfig::validate() const {
     throw std::invalid_argument(
         "MeaConfig: action_cooldown must be finite and >= 0");
   }
+  // An empty context scores nothing: symptom predictors throw on it, and
+  // a fleet node's store would retain no sample to build one from.
+  if (context_samples == 0) {
+    throw std::invalid_argument("MeaConfig: context_samples must be >= 1");
+  }
 }
 
 MeaController::MeaController(ManagedSystem& system, MeaConfig config)

@@ -19,7 +19,8 @@ struct MeaConfig {
   double warning_threshold = 0.6;
   /// Window geometry shared with the predictors.
   pred::WindowGeometry windows;
-  /// Trailing samples handed to symptom predictors.
+  /// Trailing samples handed to symptom predictors (>= 1). A fleet node's
+  /// trace retains no more samples than this.
   std::size_t context_samples = 20;
   /// Minimum seconds between two executions of the same action kind
   /// (control-loop damping: the paper warns about oscillations, Sect. 2).
@@ -30,9 +31,9 @@ struct MeaConfig {
   bool enable_minimization = true;
 
   /// Throws std::invalid_argument unless the windows validate, the
-  /// interval is finite and > 0, the threshold lies in [0, 1] and the
-  /// cooldown is finite and >= 0. NaN fails every check. MeaController
-  /// and the fleet runtime both call this.
+  /// interval is finite and > 0, the threshold lies in [0, 1], the
+  /// cooldown is finite and >= 0 and context_samples is >= 1. NaN fails
+  /// every check. MeaController and the fleet runtime both call this.
   void validate() const;
 };
 

@@ -40,6 +40,8 @@ FaultyManagedSystem::FaultyManagedSystem(
   filtering_ = spec_.drop_sample_p > 0.0 || spec_.corrupt_sample_p > 0.0;
   if (filtering_) {
     shadow_ = mon::MonitoringDataset(inner_->trace().schema());
+    corrupt_row_.assign(shadow_.schema().size(),
+                        std::numeric_limits<double>::quiet_NaN());
     sync_shadow();
   }
 }
@@ -91,9 +93,12 @@ void FaultyManagedSystem::step_to(double t) {
 }
 
 void FaultyManagedSystem::sync_shadow() {
+  // The cursors are append counts, so they locate the unseen tail of the
+  // inner store however much of its front was dropped.
   const auto& t = inner_->trace();
   const auto samples = t.samples();
-  for (; samples_seen_ < samples.size(); ++samples_seen_) {
+  const std::size_t first_sample = t.sample_count() - samples.size();
+  for (; samples_seen_ < t.sample_count(); ++samples_seen_) {
     if (stream_.fire(spec_.drop_sample_p)) {
       InjectionCounters::bump(counters_->samples_dropped);
       // High-frequency sample faults stay counter-only — a lossy sensor
@@ -101,24 +106,27 @@ void FaultyManagedSystem::sync_shadow() {
       if (drop_counter_ != nullptr) drop_counter_->inc();
       continue;
     }
-    mon::SymptomSample s = samples[samples_seen_];
+    const auto& s = samples[samples_seen_ - first_sample];
     if (stream_.fire(spec_.corrupt_sample_p)) {
       InjectionCounters::bump(counters_->samples_corrupted);
       if (corrupt_counter_ != nullptr) corrupt_counter_->inc();
-      for (auto& v : s.values) {
-        v = std::numeric_limits<double>::quiet_NaN();
-      }
+      shadow_.add_sample(s.time, corrupt_row_);
+    } else {
+      shadow_.add_sample(s.time, s.values);
     }
-    shadow_.add_sample(std::move(s));
   }
   const auto events = t.events();
-  for (; events_seen_ < events.size(); ++events_seen_) {
-    shadow_.add_event(events[events_seen_]);
+  const std::size_t first_event = t.event_count() - events.size();
+  for (; events_seen_ < t.event_count(); ++events_seen_) {
+    shadow_.add_event(events[events_seen_ - first_event]);
   }
   const auto failures = t.failures();
   for (; failures_seen_ < failures.size(); ++failures_seen_) {
     shadow_.add_failure(failures[failures_seen_]);
   }
+  // Everything read so far lives on in the shadow: the inner store may
+  // drop it at its next append.
+  t.release(samples_seen_, events_seen_);
 }
 
 void FaultyManagedSystem::restart_unit(std::size_t unit) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "core/managed_system.hpp"
 #include "injection/fault_plan.hpp"
@@ -19,7 +20,9 @@ namespace pfm::inj {
 ///  - *dropped / corrupted samples*: the decorator maintains a shadow
 ///    trace into which freshly monitored symptom samples are copied,
 ///    dropped, or rewritten to quiet NaN per the decision stream; error
-///    events and failures pass through unmodified.
+///    events and failures pass through unmodified. After each copy the
+///    decorator releases what it copied from the inner trace, so only the
+///    shadow keeps it; a reader's release on trace() bounds the shadow.
 ///
 /// With a zero spec the decorator forwards everything and exposes the
 /// inner trace object itself — the wrapped node is bit-identical to the
@@ -97,8 +100,10 @@ class FaultyManagedSystem final : public core::ManagedSystem {
   std::size_t hang_steps_served_ = 0;
 
   // Shadow trace (only maintained when the spec drops/corrupts samples).
+  // The cursors count the inner trace's appends copied so far.
   bool filtering_ = false;
   mon::MonitoringDataset shadow_;
+  std::vector<double> corrupt_row_;  // all-NaN values of a corrupt sample
   std::size_t samples_seen_ = 0;
   std::size_t events_seen_ = 0;
   std::size_t failures_seen_ = 0;

@@ -1,46 +1,73 @@
 #include "monitoring/dataset.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace pfm::mon {
 
+namespace {
+
+// Appends must not go back in time; a NaN timestamp has no place in an
+// ordered stream, so it is rejected too (it would pass a plain `<`).
+bool goes_back(double time, bool empty, double last) noexcept {
+  return std::isnan(time) || (!empty && time < last);
+}
+
+}  // namespace
+
 void MonitoringDataset::add_sample(SymptomSample sample) {
-  if (sample.values.size() != schema_.size()) {
+  add_sample(sample.time, sample.values);
+}
+
+void MonitoringDataset::add_sample(double time,
+                                   std::span<const double> values) {
+  if (values.size() != schema_.size()) {
     throw std::invalid_argument("MonitoringDataset: sample/schema mismatch");
   }
-  if (!samples_.empty() && sample.time < samples_.back().time) {
+  const auto live = samples();
+  if (goes_back(time, live.empty(), live.empty() ? 0.0 : live.back().time)) {
     throw std::invalid_argument("MonitoringDataset: sample time decreases");
   }
-  samples_.push_back(std::move(sample));
+  samples_.append([&](SymptomSample& slot) {
+    slot.time = time;
+    slot.values.assign(values.begin(), values.end());
+  });
 }
 
 void MonitoringDataset::add_event(ErrorEvent event) {
-  if (!events_.empty() && event.time < events_.back().time) {
+  const auto live = events();
+  if (goes_back(event.time, live.empty(),
+                live.empty() ? 0.0 : live.back().time)) {
     throw std::invalid_argument("MonitoringDataset: event time decreases");
   }
-  events_.push_back(event);
+  events_.append([&](ErrorEvent& slot) { slot = event; });
 }
 
 void MonitoringDataset::add_failure(double time) {
-  if (!failures_.empty() && time < failures_.back()) {
+  if (goes_back(time, failures_.empty(),
+                failures_.empty() ? 0.0 : failures_.back())) {
     throw std::invalid_argument("MonitoringDataset: failure time decreases");
   }
   failures_.push_back(time);
 }
 
 double MonitoringDataset::end_time() const noexcept {
+  const auto ss = samples();
+  const auto es = events();
   double t = 0.0;
-  if (!samples_.empty()) t = std::max(t, samples_.back().time);
-  if (!events_.empty()) t = std::max(t, events_.back().time);
+  if (!ss.empty()) t = std::max(t, ss.back().time);
+  if (!es.empty()) t = std::max(t, es.back().time);
   if (!failures_.empty()) t = std::max(t, failures_.back());
   return t;
 }
 
 double MonitoringDataset::start_time() const noexcept {
+  const auto ss = samples();
+  const auto es = events();
   double t = end_time();
-  if (!samples_.empty()) t = std::min(t, samples_.front().time);
-  if (!events_.empty()) t = std::min(t, events_.front().time);
+  if (!ss.empty()) t = std::min(t, ss.front().time);
+  if (!es.empty()) t = std::min(t, es.front().time);
   if (!failures_.empty()) t = std::min(t, failures_.front());
   return t;
 }
@@ -55,10 +82,10 @@ std::pair<MonitoringDataset, MonitoringDataset> MonitoringDataset::split_at(
     double t) const {
   MonitoringDataset before(schema_);
   MonitoringDataset after(schema_);
-  for (const auto& s : samples_) {
-    (s.time < t ? before : after).add_sample(s);
+  for (const auto& s : samples()) {
+    (s.time < t ? before : after).add_sample(s.time, s.values);
   }
-  for (const auto& e : events_) {
+  for (const auto& e : events()) {
     (e.time < t ? before : after).add_event(e);
   }
   for (double f : failures_) {
@@ -74,8 +101,9 @@ std::vector<LabeledWindow> MonitoringDataset::labeled_windows(
   }
   const double horizon = end_time();
   std::vector<LabeledWindow> out;
-  out.reserve(samples_.size());
-  for (const auto& s : samples_) {
+  const auto ss = samples();
+  out.reserve(ss.size());
+  for (const auto& s : ss) {
     const double w_begin = s.time + lead_time;
     const double w_end = w_begin + prediction_window;
     if (w_end > horizon) continue;  // not labelable yet
@@ -134,11 +162,12 @@ std::vector<ErrorSequence> MonitoringDataset::nonfailure_sequences(
 
 std::vector<ErrorEvent> MonitoringDataset::events_in(double t_begin,
                                                      double t_end) const {
+  const auto es = events();
   const auto lo = std::upper_bound(
-      events_.begin(), events_.end(), t_begin,
+      es.begin(), es.end(), t_begin,
       [](double t, const ErrorEvent& e) { return t < e.time; });
   const auto hi = std::upper_bound(
-      events_.begin(), events_.end(), t_end,
+      es.begin(), es.end(), t_end,
       [](double t, const ErrorEvent& e) { return t < e.time; });
   return {lo, hi};
 }

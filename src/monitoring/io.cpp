@@ -83,6 +83,7 @@ MonitoringDataset read_csv(std::istream& in) {
   std::size_t line_no = 0;
   bool have_schema = false;
   MonitoringDataset dataset;
+  std::vector<double> row;  // one sample's values, reused across lines
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
@@ -93,6 +94,12 @@ MonitoringDataset read_csv(std::istream& in) {
         throw std::invalid_argument("trace csv line " +
                                     std::to_string(line_no) +
                                     ": duplicate schema record");
+      }
+      // A fresh dataset would silently drop the records read so far.
+      if (!dataset.events().empty() || !dataset.failures().empty()) {
+        throw std::invalid_argument("trace csv line " +
+                                    std::to_string(line_no) +
+                                    ": schema record after data records");
       }
       dataset = MonitoringDataset(
           SymptomSchema({fields.begin() + 1, fields.end()}));
@@ -106,13 +113,12 @@ MonitoringDataset read_csv(std::istream& in) {
                                     std::to_string(line_no) +
                                     ": sample arity mismatch");
       }
-      SymptomSample s;
-      s.time = parse_time(fields[1], line_no);
-      s.values.reserve(dataset.schema().size());
+      const double time = parse_time(fields[1], line_no);
+      row.clear();
       for (std::size_t i = 2; i < fields.size(); ++i) {
-        s.values.push_back(parse_number(fields[i], line_no));
+        row.push_back(parse_number(fields[i], line_no));
       }
-      dataset.add_sample(std::move(s));
+      dataset.add_sample(time, row);
     } else if (tag == "e") {
       if (fields.size() != 5) {
         throw std::invalid_argument("trace csv line " +

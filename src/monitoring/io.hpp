@@ -18,13 +18,14 @@ namespace pfm::mon {
 ///   f,<time>                        failure
 ///
 /// Records of each stream must appear in nondecreasing time order (the
-/// MonitoringDataset contract).
+/// MonitoringDataset contract). The schema record, when present, comes
+/// before every data record.
 void write_csv(const MonitoringDataset& dataset, std::ostream& out);
 
 /// Parses a trace written by write_csv (or hand-authored in the same
 /// format). Throws std::invalid_argument on malformed input: unknown
-/// record tags, arity mismatches against the schema, or non-numeric
-/// fields.
+/// record tags, arity mismatches against the schema, non-numeric fields,
+/// a misplaced or duplicate schema record, or out-of-order timestamps.
 MonitoringDataset read_csv(std::istream& in);
 
 /// Convenience file wrappers; throw std::runtime_error when the file

@@ -29,6 +29,17 @@ MixtureModelView MixtureModel::view() const noexcept {
   return v;
 }
 
+std::span<const mon::SymptomSample> slope_window(
+    std::span<const mon::SymptomSample> history,
+    double window_start) noexcept {
+  const auto first = std::partition_point(
+      history.begin(), history.end(),
+      [window_start](const mon::SymptomSample& s) {
+        return s.time <= window_start;
+      });
+  return history.subspan(static_cast<std::size_t>(first - history.begin()));
+}
+
 namespace {
 
 // The gather loop sits inside every arena-backed scorer's hot closure
@@ -53,7 +64,8 @@ void gather_features(const MixtureModelView& m,
       throw_gather_empty_context();
     }
     const auto& current = ctx.history.back();
-    const double t0 = current.time - m.data_window;
+    const auto window =
+        slope_window(ctx.history, current.time - m.data_window);
     for (std::size_t i = 0; i < dim; ++i) {
       const std::size_t idx = m.selected[i];
       double v;
@@ -63,8 +75,7 @@ void gather_features(const MixtureModelView& m,
         const std::size_t j = idx - m.num_raw_vars;
         scratch.t_buf.clear();
         scratch.v_buf.clear();
-        for (const auto& s : ctx.history) {
-          if (s.time <= t0) continue;
+        for (const auto& s : window) {
           scratch.t_buf.push_back(s.time);
           scratch.v_buf.push_back(s.values[j]);
         }

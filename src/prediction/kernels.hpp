@@ -58,6 +58,16 @@ struct MixtureModel {
   MixtureModelView view() const noexcept;
 };
 
+/// The samples a slope feature regresses over: the suffix of a
+/// time-ordered `history` whose times exceed `window_start` (the newest
+/// sample's time minus the data window). One binary search finds the
+/// samples a scan skipping every `time <= window_start` keeps, in the
+/// same order; UbfPredictor's reference path and the gather below share
+/// it.
+std::span<const mon::SymptomSample> slope_window(
+    std::span<const mon::SymptomSample> history,
+    double window_start) noexcept;
+
 /// The whole arena-backed scoring path of both the live and the frozen
 /// predictor, in two phases:
 ///  - gather: one contiguous column per selected feature (feature i of

@@ -17,6 +17,7 @@ namespace pfm::pred {
 /// the window, failure tracking only needs the failure history and the
 /// current time.
 struct SymptomContext {
+  /// Trailing samples, oldest first and time-ordered, like a trace's.
   std::span<const mon::SymptomSample> history;
   std::span<const double> past_failures;
 

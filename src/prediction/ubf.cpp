@@ -638,13 +638,13 @@ std::vector<double> UbfPredictor::augmented_features(
   std::vector<double> raw(current.values.begin(), current.values.end());
   if (!config_.include_trend_features) return raw;
   raw.resize(2 * num_raw_vars_, 0.0);
-  const double t0 = current.time - config_.windows.data_window;
+  const auto window =
+      slope_window(ctx.history, current.time - config_.windows.data_window);
   std::vector<double> t_buf, v_buf;
   for (std::size_t j = 0; j < num_raw_vars_; ++j) {
     t_buf.clear();
     v_buf.clear();
-    for (const auto& s : ctx.history) {
-      if (s.time <= t0) continue;
+    for (const auto& s : window) {
       t_buf.push_back(s.time);
       v_buf.push_back(s.values[j]);
     }

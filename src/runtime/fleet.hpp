@@ -216,6 +216,13 @@ struct FleetInstruments {
 /// On a healthy fleet none of it engages. All of it is deterministic:
 /// quarantine and breaker transitions depend only on per-round outcomes,
 /// which are themselves thread-count invariant.
+///
+/// Fleet memory follows the window (DESIGN.md §9): each time a shard
+/// evaluates a node, it releases the front of that node's trace up to
+/// what later rounds read, i.e. the newest MeaConfig::context_samples
+/// samples and the events of the trailing windows.data_window; failures
+/// stay. A node's trace() therefore holds only those windows, while its
+/// sample_count()/event_count() still count every append.
 class FleetController {
  public:
   FleetController(std::vector<std::unique_ptr<core::ManagedSystem>> nodes,
@@ -244,6 +251,10 @@ class FleetController {
   void run_until(double t);
 
   std::size_t num_nodes() const noexcept { return nodes_.size(); }
+  /// Node `i`. Its trace() holds the fleet's windows only (see above): a
+  /// reader needing a longer history, such as a core::Diagnoser with a
+  /// longer evidence window than the data window, sees just the retained
+  /// tail.
   const core::ManagedSystem& node(std::size_t i) const { return *nodes_.at(i); }
   const core::MeaStats& node_mea_stats(std::size_t i) const {
     return stats_.at(i);

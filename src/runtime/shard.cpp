@@ -46,6 +46,23 @@ std::string stall_reason(std::size_t streak) {
          " rounds";
 }
 
+// Fleet memory follows the window (DESIGN.md §9): from now on the round
+// reads at most the newest context_samples samples and the events after
+// now - data_window (now only grows), so the rest of the trace's sample
+// and event streams is released. The node drops it at its next append,
+// after this tick's scoring has read the spans built from it.
+void release_unread(const mon::MonitoringDataset& trace, double now,
+                    const core::MeaConfig& mea) noexcept {
+  const auto samples = trace.samples();
+  const auto events = trace.events();
+  const auto window = std::upper_bound(
+      events.begin(), events.end(), now - mea.windows.data_window,
+      [](double t, const mon::ErrorEvent& e) { return t < e.time; });
+  trace.release(
+      trace.sample_count() - std::min(samples.size(), mea.context_samples),
+      trace.event_count() - static_cast<std::size_t>(events.end() - window));
+}
+
 }  // namespace
 
 ShardController::ShardController(ShardEnv env, std::size_t shard_index,
@@ -100,7 +117,7 @@ void ShardController::activate(double t) {
     ns.scheduled = true;
     ns.pending_gap = 1;
     ns.prev_gap = 1;
-    ns.seen_events = node.trace().events().size();
+    ns.seen_events = node.trace().event_count();
     ns.seen_failures = node.trace().failures().size();
     ns.due_tick = calendar_.cursor();
   }
@@ -185,7 +202,7 @@ bool ShardController::node_is_hot(std::size_t local, double combined_score) {
   const FleetConfig& config = *env_.config;
   const auto& node = *(*env_.nodes)[base_ + local];
   auto& ns = sched_[local];
-  const std::uint64_t events = node.trace().events().size();
+  const std::uint64_t events = node.trace().event_count();
   const std::uint64_t failures = node.trace().failures().size();
   const bool delta = events != ns.seen_events || failures != ns.seen_failures;
   ns.seen_events = events;
@@ -335,6 +352,7 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
         sequences_.back().origin = i;
         sequences_.back().ordinal = st.evaluations;
       }
+      release_unread(node.trace(), node.now(), config.mea);
     }
     if (!symptom.empty()) {
       inst.batch_size_hist->observe(static_cast<double>(contexts_.size()));

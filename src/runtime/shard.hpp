@@ -55,8 +55,8 @@ struct NodeSchedule {
   bool scheduled = false;
   std::uint32_t pending_gap = 1;   ///< ticks the due visit will cover
   std::uint32_t prev_gap = 1;      ///< adaptive backoff memory
-  std::uint64_t seen_events = 0;   ///< trace sizes at the last visit,
-  std::uint64_t seen_failures = 0; ///< for symptom-delta triggers
+  std::uint64_t seen_events = 0;   ///< trace append counts at the last
+  std::uint64_t seen_failures = 0; ///< visit, for symptom-delta triggers
   std::uint64_t due_tick = 0;      ///< calendar tick of the pending visit
   double last_score = 0.0;         ///< combined score at the last visit
 };

@@ -304,7 +304,7 @@ void ScpSimulator::sample_symptoms(double t) {
                           std::exp(1.645 * sigma - 0.5 * sigma * sigma);
 
   // Error rate over the last sampling interval.
-  const std::size_t total_events = trace_.events().size();
+  const std::size_t total_events = trace_.event_count();
   const double err_rate =
       static_cast<double>(total_events - events_seen_) /
       config_.sample_interval;
@@ -337,13 +337,12 @@ void ScpSimulator::sample_symptoms(double t) {
   const double threads = 250.0 + 0.8 * workload_.mean_rate(t) + stage_bonus +
                          thread_walk_ + rng_.normal(0.0, 35.0);
 
-  mon::SymptomSample s;
-  s.time = t;
-  s.values = {arrival,   util_mean, util_max, mem_min,
-              mem_sum / static_cast<double>(n),
-              pressure_max, resp_p95, err_rate, sem_ops, cpu_user,
-              net_tx,    disk_io_,  paging,   temp,     threads};
-  trace_.add_sample(std::move(s));
+  const std::array values = {arrival,   util_mean, util_max, mem_min,
+                             mem_sum / static_cast<double>(n),
+                             pressure_max, resp_p95, err_rate, sem_ops,
+                             cpu_user,  net_tx,    disk_io_,  paging,
+                             temp,      threads};
+  trace_.add_sample(t, values);
 }
 
 }  // namespace pfm::telecom

@@ -2,7 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
+
+// Counts heap allocations, so the retention tests can show that a bounded
+// store's steady-state appends allocate nothing.
+namespace {
+std::size_t allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// GCC reports free() inside a replaced operator delete as a mismatch with
+// operator new, although this operator new is malloc().
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace pfm::mon {
 namespace {
@@ -128,6 +155,145 @@ TEST(Dataset, EventsInIsHalfOpen) {
   const auto in = ds.events_in(50.0, 250.0);  // (50, 250]
   ASSERT_EQ(in.size(), 1u);
   EXPECT_EQ(in[0].event_id, 202);
+}
+
+TEST(Dataset, NanTimestampsRejected) {
+  MonitoringDataset ds(SymptomSchema({"a"}));
+  const double nan = std::nan("");
+  EXPECT_THROW(ds.add_sample({nan, {1.0}}), std::invalid_argument);
+  EXPECT_THROW(ds.add_event({nan, 1, 0, 1}), std::invalid_argument);
+  EXPECT_THROW(ds.add_failure(nan), std::invalid_argument);
+  ds.add_sample({1.0, {1.0}});
+  EXPECT_THROW(ds.add_sample({nan, {1.0}}), std::invalid_argument);
+  EXPECT_EQ(ds.sample_count(), 1u);
+}
+
+// --- retention: a reader releases a stream's front, the owner drops it at
+// its next append of that stream.
+
+// Appends sample i at t = 10 i with values {i, -i} and an event of id i.
+void append_step(MonitoringDataset& ds, std::size_t i) {
+  const double v = static_cast<double>(i);
+  const std::array<double, 2> values = {v, -v};
+  ds.add_sample(10.0 * v, values);
+  ds.add_event({10.0 * v, static_cast<std::int32_t>(i), 0, 1});
+}
+
+// The retained streams are exactly appends [first, count) of append_step.
+void expect_tail(const MonitoringDataset& ds, std::size_t first_sample,
+                 std::size_t first_event) {
+  ASSERT_EQ(ds.samples().size(), ds.sample_count() - first_sample);
+  for (std::size_t k = 0; k < ds.samples().size(); ++k) {
+    const double v = static_cast<double>(first_sample + k);
+    EXPECT_EQ(ds.samples()[k].time, 10.0 * v);
+    EXPECT_EQ(ds.samples()[k].values, (std::vector<double>{v, -v}));
+  }
+  ASSERT_EQ(ds.events().size(), ds.event_count() - first_event);
+  for (std::size_t k = 0; k < ds.events().size(); ++k) {
+    EXPECT_EQ(ds.events()[k].event_id,
+              static_cast<std::int32_t>(first_event + k));
+  }
+}
+
+TEST(Dataset, AppendCountsIncludeDroppedElements) {
+  MonitoringDataset ds(SymptomSchema({"a", "b"}));
+  EXPECT_EQ(ds.sample_count(), 0u);
+  EXPECT_EQ(ds.event_count(), 0u);
+  for (std::size_t i = 0; i < 10; ++i) append_step(ds, i);
+  EXPECT_EQ(ds.sample_count(), 10u);
+  EXPECT_EQ(ds.event_count(), 10u);
+  ds.release(6, 8);
+  append_step(ds, 10);
+  EXPECT_EQ(ds.sample_count(), 11u);
+  EXPECT_EQ(ds.event_count(), 11u);
+  expect_tail(ds, 6, 8);
+  // Failures are never dropped.
+  ds.add_failure(5.0);
+  ds.add_failure(7.0);
+  EXPECT_EQ(ds.failures().size(), 2u);
+}
+
+TEST(Dataset, SpanTakenBeforeAReleaseStaysValidUntilTheNextAppend) {
+  MonitoringDataset ds(SymptomSchema({"a", "b"}));
+  for (std::size_t i = 0; i < 8; ++i) append_step(ds, i);
+  const auto samples = ds.samples();
+  const auto events = ds.events();
+  ds.release(ds.sample_count(), ds.event_count());
+  // Nothing is dropped by the release itself.
+  EXPECT_EQ(ds.samples().data(), samples.data());
+  EXPECT_EQ(ds.samples().size(), 8u);
+  EXPECT_EQ(ds.events().size(), 8u);
+  for (std::size_t k = 0; k < 8; ++k) {
+    EXPECT_EQ(samples[k].time, 10.0 * static_cast<double>(k));
+    EXPECT_EQ(events[k].event_id, static_cast<std::int32_t>(k));
+  }
+  // The next append of each stream drops what was released before it.
+  append_step(ds, 8);
+  expect_tail(ds, 8, 8);
+}
+
+TEST(Dataset, ReleaseBeyondTheEndDropsOnlyWhatExists) {
+  MonitoringDataset ds(SymptomSchema({"a", "b"}));
+  for (std::size_t i = 0; i < 5; ++i) append_step(ds, i);
+  ds.release(1000, 1000);  // clamped to the counts at the request
+  append_step(ds, 5);
+  append_step(ds, 6);
+  expect_tail(ds, 5, 5);
+  // Time order is still enforced against the newest retained sample.
+  EXPECT_THROW(ds.add_sample(0.0, std::array<double, 2>{0.0, 0.0}),
+               std::invalid_argument);
+}
+
+TEST(Dataset, ReleaseOfNothingKeepsEverything) {
+  MonitoringDataset ds(SymptomSchema({"a", "b"}));
+  ds.release(0, 0);
+  for (std::size_t i = 0; i < 5; ++i) append_step(ds, i);
+  ds.release(0, 0);
+  append_step(ds, 5);
+  expect_tail(ds, 0, 0);
+  // Release points only advance: an earlier point than a pending one
+  // changes nothing.
+  ds.release(4, 3);
+  ds.release(2, 1);
+  append_step(ds, 6);
+  expect_tail(ds, 4, 3);
+  ds.release(4, 3);  // at the current front: nothing to drop
+  append_step(ds, 7);
+  expect_tail(ds, 4, 3);
+}
+
+TEST(Dataset, CompactionKeepsTheRetainedTailInOrder) {
+  // A reader keeping a sliding window of 7 samples and 3 events, with
+  // releases of varying size: every append's view is the exact tail.
+  MonitoringDataset ds(SymptomSchema({"a", "b"}));
+  for (std::size_t i = 0; i < 500; ++i) {
+    append_step(ds, i);
+    const std::size_t n = ds.sample_count();
+    if (i % 5 == 0 || i % 7 == 0) {
+      ds.release(n >= 7 ? n - 7 : 0, n >= 3 ? n - 3 : 0);
+    }
+  }
+  EXPECT_EQ(ds.sample_count(), 500u);
+  EXPECT_LE(ds.samples().size(), 7u + 5u);
+  expect_tail(ds, 500 - ds.samples().size(), 500 - ds.events().size());
+}
+
+TEST(Dataset, BoundedStoreReusesDroppedValueBuffers) {
+  MonitoringDataset ds(SymptomSchema({"a", "b"}));
+  auto run = [&ds](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      append_step(ds, i);
+      const std::size_t n = ds.sample_count();
+      ds.release(n >= 20 ? n - 20 : 0, n >= 20 ? n - 20 : 0);
+    }
+  };
+  run(0, 200);  // warm-up: slots and value buffers reach their bound
+  const std::size_t before = allocations;
+  run(200, 2000);
+  EXPECT_EQ(allocations, before) << "steady-state appends allocated";
+  // The last append applied the release made before it: 21 retained.
+  expect_tail(ds, 1979, 1979);
+  for (const auto& s : ds.samples()) EXPECT_EQ(s.values.capacity(), 2u);
 }
 
 }  // namespace

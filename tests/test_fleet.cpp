@@ -206,6 +206,14 @@ TEST(Fleet, RejectsInvalidConfigurations) {
                  std::invalid_argument);
   }
 
+  // An empty context would silently turn symptom prediction off: every
+  // score throws, and the breakers trip.
+  runtime::FleetConfig no_context;
+  no_context.mea.context_samples = 0;
+  EXPECT_THROW(runtime::FleetController(
+                   runtime::make_scp_fleet(fleet_config(), 1), no_context),
+               std::invalid_argument);
+
   auto fleet = make_fleet(1, 1);
   EXPECT_THROW(fleet->add_symptom_predictor(nullptr), std::invalid_argument);
   EXPECT_THROW(fleet->add_event_predictor(nullptr), std::invalid_argument);

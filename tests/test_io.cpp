@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "property.hpp"
 #include "telecom/simulator.hpp"
 
 namespace pfm::mon {
@@ -142,6 +147,202 @@ TEST(TraceIo, NanSymptomValueRoundTrips) {
   EXPECT_EQ(restored.samples()[0].values[1], 4096.0);
   ASSERT_EQ(restored.events().size(), 1u);
   EXPECT_EQ(restored.events()[0].event_id, -7);
+}
+
+// --- mutation fuzz: read_csv is the first untrusted input -------------------
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+std::size_t pick(num::Rng& rng, std::size_t n) {
+  return static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+}
+
+// One random mutation of a CSV text: a byte flip, a truncation, or a
+// deleted, duplicated or swapped line, or two swapped fields of a line.
+std::string mutate(const std::string& text, num::Rng& rng) {
+  auto lines = split_lines(text);
+  switch (rng.uniform_int(0, 5)) {
+    case 0: {  // byte flip
+      std::string out = text;
+      if (out.empty()) return out;
+      const std::size_t at = pick(rng, out.size());
+      out[at] = rng.bernoulli(0.5)
+                    ? static_cast<char>(rng.uniform_int(0, 255))
+                    : static_cast<char>(out[at] ^ (1 << rng.uniform_int(0, 7)));
+      return out;
+    }
+    case 1:  // truncation
+      return text.substr(0, pick(rng, text.size() + 1));
+    case 2:  // deleted line
+      if (!lines.empty()) {
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(
+                                        pick(rng, lines.size())));
+      }
+      break;
+    case 3:  // duplicated line
+      if (!lines.empty()) {
+        const std::size_t at = pick(rng, lines.size());
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                     lines[at]);
+      }
+      break;
+    case 4:  // swapped lines
+      if (!lines.empty()) {
+        std::swap(lines[pick(rng, lines.size())],
+                  lines[pick(rng, lines.size())]);
+      }
+      break;
+    default: {  // swapped fields of one line
+      if (lines.empty()) break;
+      auto& line = lines[pick(rng, lines.size())];
+      std::vector<std::string> fields;
+      std::istringstream is(line);
+      for (std::string f; std::getline(is, f, ',');) fields.push_back(f);
+      if (fields.size() < 2) break;
+      std::swap(fields[pick(rng, fields.size())],
+                fields[pick(rng, fields.size())]);
+      line.clear();
+      for (std::size_t i = 0; i < fields.size(); ++i) {
+        line += (i == 0 ? "" : ",") + fields[i];
+      }
+      break;
+    }
+  }
+  std::string out;
+  for (const auto& line : lines) out += line + '\n';
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// Record lines per tag ("s", "e", "f") of a CSV text.
+std::size_t count_records(const std::string& text, const std::string& tag) {
+  std::size_t n = 0;
+  for (const auto& line : split_lines(text)) {
+    if (line.compare(0, tag.size() + 1, tag + ",") == 0 || line == tag) ++n;
+  }
+  return n;
+}
+
+// Valid: every stream time-ordered with no NaN time, every append
+// retained, every sample as wide as the schema, and the write/read round
+// trip returns the dataset bit for bit.
+void expect_valid_and_stable(const MonitoringDataset& ds) {
+  ASSERT_EQ(ds.sample_count(), ds.samples().size());
+  ASSERT_EQ(ds.event_count(), ds.events().size());
+  for (std::size_t i = 0; i < ds.samples().size(); ++i) {
+    const auto& s = ds.samples()[i];
+    ASSERT_FALSE(std::isnan(s.time));
+    ASSERT_EQ(s.values.size(), ds.schema().size());
+    if (i > 0) {
+      ASSERT_LE(ds.samples()[i - 1].time, s.time);
+    }
+  }
+  for (std::size_t i = 0; i < ds.events().size(); ++i) {
+    ASSERT_FALSE(std::isnan(ds.events()[i].time));
+    if (i > 0) {
+      ASSERT_LE(ds.events()[i - 1].time, ds.events()[i].time);
+    }
+  }
+  for (std::size_t i = 0; i < ds.failures().size(); ++i) {
+    ASSERT_FALSE(std::isnan(ds.failures()[i]));
+    if (i > 0) {
+      ASSERT_LE(ds.failures()[i - 1], ds.failures()[i]);
+    }
+  }
+
+  std::stringstream buffer;
+  write_csv(ds, buffer);
+  const auto again = read_csv(buffer);
+  ASSERT_EQ(again.schema().names(), ds.schema().names());
+  ASSERT_EQ(again.samples().size(), ds.samples().size());
+  for (std::size_t i = 0; i < ds.samples().size(); ++i) {
+    const auto& a = again.samples()[i];
+    const auto& b = ds.samples()[i];
+    ASSERT_TRUE(same_bits(a.time, b.time)) << "sample " << i;
+    ASSERT_EQ(a.values.size(), b.values.size());
+    for (std::size_t v = 0; v < a.values.size(); ++v) {
+      ASSERT_TRUE(same_bits(a.values[v], b.values[v]))
+          << "sample " << i << " value " << v << ": " << b.values[v];
+    }
+  }
+  ASSERT_EQ(again.events().size(), ds.events().size());
+  for (std::size_t i = 0; i < ds.events().size(); ++i) {
+    const auto& a = again.events()[i];
+    const auto& b = ds.events()[i];
+    ASSERT_TRUE(same_bits(a.time, b.time)) << "event " << i;
+    ASSERT_EQ(a.event_id, b.event_id);
+    ASSERT_EQ(a.component, b.component);
+    ASSERT_EQ(a.severity, b.severity);
+  }
+  ASSERT_EQ(again.failures().size(), ds.failures().size());
+  for (std::size_t i = 0; i < ds.failures().size(); ++i) {
+    ASSERT_TRUE(same_bits(again.failures()[i], ds.failures()[i]));
+  }
+}
+
+TEST(TraceIo, MutatedCsvThrowsOrParsesToAValidTrace) {
+  telecom::SimConfig cfg;
+  cfg.seed = 11;
+  cfg.duration = 3600.0;
+  cfg.cascade_mtbf = 1800.0;  // error events and failures in one hour
+  cfg.leak_mtbf = 1800.0;
+  telecom::ScpSimulator sim(cfg);
+  sim.run();
+  std::stringstream base;
+  write_csv(sim.trace(), base);
+  ASSERT_FALSE(sim.trace().events().empty());
+
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  proptest::run_cases(
+      "read_csv mutation", 0x7ace, 600, [&](num::Rng& rng, std::size_t) {
+        std::string text = base.str();
+        const auto rounds = rng.uniform_int(1, 4);
+        for (std::int64_t r = 0; r < rounds; ++r) text = mutate(text, rng);
+        std::stringstream in(text);
+        MonitoringDataset ds;
+        try {
+          ds = read_csv(in);
+        } catch (const std::invalid_argument&) {
+          ++rejected;  // fine
+          return;
+        }
+        ++parsed;
+        // Every record line became one element: nothing is lost silently.
+        EXPECT_EQ(ds.samples().size(), count_records(text, "s"));
+        EXPECT_EQ(ds.events().size(), count_records(text, "e"));
+        EXPECT_EQ(ds.failures().size(), count_records(text, "f"));
+        expect_valid_and_stable(ds);
+      });
+  // Both outcomes occur, so the sweep exercises the parser and the
+  // checks alike.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
+  std::printf("read_csv mutants: %zu parsed, %zu rejected\n", parsed,
+              rejected);
+}
+
+TEST(TraceIo, SchemaAfterRecordsRejected) {
+  // A late schema record would start a new dataset and silently lose the
+  // events and failures read before it.
+  for (const char* text : {"e,1.0,201,0,1\nschema,x\n", "f,5.0\nschema,x\n"}) {
+    std::stringstream in(text);
+    EXPECT_THROW(read_csv(in), std::invalid_argument) << text;
+  }
+  // Without any schema record, events and failures alone still parse.
+  std::stringstream in("e,1.0,201,0,1\nf,5.0\n");
+  const auto ds = read_csv(in);
+  EXPECT_EQ(ds.events().size(), 1u);
+  EXPECT_EQ(ds.failures().size(), 1u);
 }
 
 TEST(TraceIo, FileRoundTrip) {

@@ -75,6 +75,11 @@ TEST(Mea, ConfigValidation) {
   cfg = MeaConfig{};
   cfg.windows.data_window = nan;
   EXPECT_THROW(MeaController(system, cfg), std::invalid_argument);
+  // An empty context would throw in every symptom predictor at the first
+  // evaluation, after the system already stepped.
+  cfg = MeaConfig{};
+  cfg.context_samples = 0;
+  EXPECT_THROW(MeaController(system, cfg), std::invalid_argument);
   cfg = MeaConfig{};
   MeaController mea(system, cfg);
   EXPECT_THROW(mea.add_symptom_predictor(nullptr), std::invalid_argument);
