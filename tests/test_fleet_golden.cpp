@@ -152,7 +152,8 @@ std::string hex_bits(double x) {
 }
 
 /// Every deterministic telemetry() field (latency is wall time and left
-/// out), then the per-node and per-predictor state, one token per value.
+/// out), then the per-node state with its retained symptom samples and the
+/// per-predictor state, one token per value.
 std::string telemetry_text(const runtime::FleetController& fleet,
                            std::size_t num_predictors) {
   const auto t = fleet.telemetry();
@@ -208,6 +209,18 @@ std::string telemetry_text(const runtime::FleetController& fleet,
     put("incarnation", fleet.node_incarnation(i));
     s += "now=" + hex_bits(fleet.node(i).now()) + ' ';
     s += "reason=" + fleet.node_quarantine_reason(i) + '\n';
+    // The symptom values themselves: append counts plus every retained
+    // sample, bit for bit, so a change to what the managed system measures
+    // moves this fingerprint even where no warning or export notices.
+    const auto& trace = fleet.node(i).trace();
+    put("samples", trace.sample_count());
+    put("events", trace.event_count());
+    for (const auto& sample : trace.samples()) {
+      s += hex_bits(sample.time);
+      for (const double v : sample.values) s += ':' + hex_bits(v);
+      s += ' ';
+    }
+    s += '\n';
   }
   for (std::size_t p = 0; p < num_predictors; ++p) {
     s += "predictor " + std::to_string(p) + " tripped=" +
@@ -319,16 +332,16 @@ struct Golden {
 constexpr Golden kGolden[] = {
     {Scenario::kClean,
      {0x4d6a9e0b2cf7e4d6ULL, 0x43f02af1dd2afcfeULL, 0xe8e5cba52e6089d0ULL,
-      0x8a2e441ef255d53dULL, 0x0000000000000000ULL}},
+      0xb87e7e44b4e3260dULL, 0x0000000000000000ULL}},
     {Scenario::kHostile,
      {0x892f0fd7d2b89caaULL, 0x8c6ab51c047d2f0cULL, 0x8e59f2240e8c7d3cULL,
-      0xe4321e619c699bcdULL, 0x0000000000000000ULL}},
+      0xa93ae71f6b97cd65ULL, 0x0000000000000000ULL}},
     {Scenario::kMembership,
      {0x7430f12231888317ULL, 0xd4555ebcf2a6ce3bULL, 0xe601d683e479010dULL,
-      0x3611de0c4776f44aULL, 0x0000000000000000ULL}},
+      0x1de0fcef0f343f91ULL, 0x0000000000000000ULL}},
     {Scenario::kQuality,
      {0xe02f05252471251dULL, 0x8c6ab51c047d2f0cULL, 0xa641bfb46b38e524ULL,
-      0xe4321e619c699bcdULL, 0x2b0bf839e020c756ULL}},
+      0xa93ae71f6b97cd65ULL, 0x2b0bf839e020c756ULL}},
 };
 // clang-format on
 
