@@ -13,16 +13,15 @@ namespace pfm::runtime {
 FleetController::FleetController(
     std::vector<std::unique_ptr<core::ManagedSystem>> nodes,
     FleetConfig config)
-    : nodes_(std::move(nodes)),
+    : nodes_(nodes.size()),
       config_(std::move(config)),
-      engines_(nodes_.size()),
-      stats_(nodes_.size()),
       pool_(config_.num_threads) {
   if (nodes_.empty()) {
     throw std::invalid_argument("FleetController: empty fleet");
   }
-  for (const auto& n : nodes_) {
-    if (!n) throw std::invalid_argument("FleetController: null node");
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (!nodes[i]) throw std::invalid_argument("FleetController: null node");
+    nodes_[i].system = std::move(nodes[i]);
   }
   config_.mea.validate();
   if (config_.num_shards == 0) {
@@ -49,10 +48,7 @@ FleetController::FleetController(
   config_.membership.validate();
   member_active_ = config_.membership.active();
   live_nodes_ = nodes_.size();
-  if (member_active_) {
-    member_timeline_ = config_.membership.plan.resolve();
-    incarnations_.assign(nodes_.size(), 0);
-  }
+  if (member_active_) member_timeline_ = config_.membership.plan.resolve();
 
   // Observability: use the caller's hub when given (it must have a shard
   // for every pool thread, or two workers would share a slot and race);
@@ -129,12 +125,12 @@ FleetController::FleetController(
     member_drains_total_ =
         &metrics.counter("pfm_fleet_membership_drains_total");
   }
-  for (std::size_t i = 0; i < engines_.size(); ++i) {
-    engines_[i].set_observability(obs_, obs::node_track(i));
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    nodes_[i].engine.set_observability(obs_, obs::node_track(i));
   }
 
-  // The shards are built with the fleet, so every node's loop state has
-  // one home from the start.
+  // The shards are built with the fleet and partition the node records
+  // into contiguous blocks.
   layout_ = core::ShardLayout(nodes_.size(), config_.num_shards);
   const bool multi = config_.num_shards > 1;
   shards_.reserve(config_.num_shards);
@@ -142,8 +138,6 @@ FleetController::FleetController(
     ShardEnv env;
     env.config = &config_;
     env.nodes = &nodes_;
-    env.engines = &engines_;
-    env.stats = &stats_;
     env.symptom = &symptom_;
     env.event = &event_;
     env.obs = obs_;
@@ -215,7 +209,7 @@ std::vector<std::string> FleetController::freeze_symptom_predictors(
 void FleetController::add_action(
     const std::function<std::unique_ptr<act::Action>()>& factory) {
   if (!factory) throw std::invalid_argument("FleetController: null factory");
-  for (auto& engine : engines_) engine.add_action(factory());
+  for (auto& n : nodes_) n.engine.add_action(factory());
   // Joiners and restarted nodes get the same countermeasure set: the
   // factory is replayed onto their fresh engines at the barrier.
   if (member_active_) action_factories_.push_back(factory);
@@ -223,7 +217,7 @@ void FleetController::add_action(
 
 void FleetController::run() {
   double horizon = 0.0;
-  for (const auto& n : nodes_) horizon = std::max(horizon, n->horizon());
+  for (const auto& n : nodes_) horizon = std::max(horizon, n.system->horizon());
   run_until(horizon);
 }
 
@@ -235,8 +229,8 @@ void FleetController::ensure_observers_ready() {
     // One predictor lane bank per shard (per-shard breakers trip
     // independently).
     flight_->ensure_lanes(shards_.size() * num_predictors, num_predictors);
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-      engines_[i].set_flight(flight_, i);
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      nodes_[i].engine.set_flight(flight_, i);
     }
   }
   if (!config_.quality) return;
@@ -270,7 +264,7 @@ void FleetController::refresh_quality_gauges() {
   // Eq. 2 measured interval availability over the whole fleet (current
   // systems plus the retired incarnations of restarted slots).
   core::SystemStats sys = retired_system_stats_;
-  for (const auto& node : nodes_) sys += node->system_stats();
+  for (const auto& n : nodes_) sys += n.system->system_stats();
   const double measured = sys.availability();
   // Eq. 8 model availability, driven by the live windowed quality of the
   // combined lane — the self-assessed counterpart of `measured`: the
@@ -301,7 +295,7 @@ void FleetController::refresh_quality_gauges() {
 
 void FleetController::run_until(double t) {
   // This thread is the controller between the parallel epoch sections:
-  // membership barriers touch shard-owned node state and the layout.
+  // membership barriers touch node records, calendars and the layout.
   RoleGuard controller_guard(controller_);
   ensure_observers_ready();
   const double interval = config_.mea.evaluation_interval;
@@ -319,7 +313,7 @@ void FleetController::run_until(double t) {
     // Membership barrier on the epoch grid: before the k-th epoch the
     // clock reads epoch_end_tick_ (= k * epoch_ticks) intervals. Every
     // shard's calendar cursor sits on this shared tick here, which is
-    // what makes the reshard handoff's calendar rebuild exact.
+    // what makes the reshard's calendar rebuild exact.
     if (member_active_) {
       membership_barrier(
           static_cast<double>(epoch_end_tick_) * interval, t);
@@ -336,9 +330,10 @@ void FleetController::run_until(double t) {
       continue;
     }
     // One cross-shard epoch: every shard drains its calendar up to the
-    // shared barrier tick. All state a shard touches is shard-local, so
-    // the pool handshake is the only synchronization. Shards absorb
-    // component faults internally and never throw.
+    // shared barrier tick. A shard touches only its own state and the
+    // records of its block, so the pool handshake is the only
+    // synchronization. Shards absorb component faults internally and
+    // never throw.
     inst_.epochs_total->inc();
     epoch_end_tick_ += config_.epoch_ticks;
     const std::uint64_t end_tick = epoch_end_tick_;
@@ -353,13 +348,9 @@ void FleetController::run_until(double t) {
 
   // Scrape-facing level gauges, refreshed when the loop settles (gauges
   // are controller-thread instruments).
-  std::size_t quarantined = 0;
   std::size_t open = 0;
-  for (const auto& shard : shards_) {
-    quarantined += shard->quarantined_nodes();
-    open += shard->open_breakers();
-  }
-  quarantined_gauge_->set(static_cast<double>(quarantined));
+  for (const auto& shard : shards_) open += shard->open_breakers();
+  quarantined_gauge_->set(static_cast<double>(quarantined_nodes()));
   breakers_open_gauge_->set(static_cast<double>(open));
   scratch_bytes_gauge_->set(static_cast<double>(scratch_capacity_bytes()));
   refresh_quality_gauges();
@@ -372,8 +363,8 @@ bool FleetController::membership_pending(double t) const {
 
 void FleetController::membership_barrier(double member_now, double t) {
   // Planned churn first (the declared scenario), then the closed loop's
-  // own decisions, then — if the structure changed — one reshard with
-  // warm handoff and a reactivation pass that schedules fresh slots.
+  // own decisions, then — if the structure changed — one reshard and a
+  // reactivation pass that schedules fresh slots.
   while (next_member_change_ < member_timeline_.size()) {
     const auto& change = member_timeline_[next_member_change_];
     if (change.at_time > member_now || change.at_time > t) break;
@@ -402,7 +393,7 @@ void FleetController::apply_member_change(
   }
   if (change.node >= layout_.num_nodes) {
     // The target joined earlier in this same barrier; give it a shard
-    // slot before touching its state.
+    // before it changes (its counters are attributed to that shard).
     reshard(member_now);
   }
   switch (change.kind) {
@@ -422,33 +413,13 @@ void FleetController::apply_member_change(
 
 std::size_t FleetController::member_join(double at_time, bool policy_driven) {
   const std::size_t slot = nodes_.size();
-  membership::JoinContext ctx;
-  ctx.node = slot;
-  ctx.incarnation = 0;
-  ctx.at_time = at_time;
-  ctx.seed =
-      membership::derive_member_seed(config_.membership.plan.seed, slot, 0);
-  ctx.policy_driven = policy_driven;
-  auto node = config_.membership.factory(ctx);
-  if (!node) {
-    throw std::invalid_argument(
-        "FleetController: membership factory returned a null node");
-  }
-  nodes_.push_back(std::move(node));
-  engines_.emplace_back();
-  auto& engine = engines_.back();
-  for (const auto& f : action_factories_) engine.add_action(f());
-  engine.set_observability(obs_, obs::node_track(slot));
+  nodes_.push_back(spawn_member(slot, 0, at_time, policy_driven));
   if (quality_ != nullptr) quality_->ensure_nodes(slot + 1);
   if (flight_ != nullptr) {
-    flight_->ensure_nodes(slot + 1);
-    engine.set_flight(flight_, slot);
     flight_->record_node(
         slot, obs::FlightEvent{at_time, obs::FlightEventKind::kMemberJoin, 0,
                                policy_driven ? 1 : 0, 0.0});
   }
-  stats_.emplace_back();
-  incarnations_.push_back(0);
   ++live_nodes_;
   layout_dirty_ = true;
   member_joined_total_->inc();
@@ -458,9 +429,35 @@ std::size_t FleetController::member_join(double at_time, bool policy_driven) {
   return slot;
 }
 
+FleetNode FleetController::spawn_member(std::size_t i, std::size_t incarnation,
+                                        double at_time, bool policy_driven) {
+  membership::JoinContext ctx;
+  ctx.node = i;
+  ctx.incarnation = incarnation;
+  ctx.at_time = at_time;
+  ctx.seed = membership::derive_member_seed(config_.membership.plan.seed, i,
+                                            incarnation);
+  ctx.policy_driven = policy_driven;
+  FleetNode n;
+  n.system = config_.membership.factory(ctx);
+  if (!n.system) {
+    throw std::invalid_argument(
+        "FleetController: membership factory returned a null node");
+  }
+  n.incarnation = incarnation;
+  for (const auto& f : action_factories_) n.engine.add_action(f());
+  n.engine.set_observability(obs_, obs::node_track(i));
+  if (flight_ != nullptr) {
+    flight_->ensure_nodes(i + 1);
+    n.engine.set_flight(flight_, i);
+  }
+  return n;
+}
+
 void FleetController::member_depart(std::size_t i, double at_time, bool drain,
                                     std::int64_t leave_arg) {
-  FleetNodeState& state = member_state(i);
+  FleetNode& n = nodes_[i];
+  FleetNodeState& state = n.state;
   if (state.departed) {
     throw std::invalid_argument("FleetController: node " + std::to_string(i) +
                                 " already departed");
@@ -469,9 +466,9 @@ void FleetController::member_depart(std::size_t i, double at_time, bool drain,
     member_drains_total_->inc();
     // Graceful removal: let the system persist state first — unless it
     // is quarantined (crashed/hung systems get no goodbye call).
-    if (!state.quarantined && !nodes_[i]->finished()) {
+    if (!state.quarantined && !n.system->finished()) {
       try {
-        nodes_[i]->prepare_for_drain();
+        n.system->prepare_for_drain();
       } catch (...) {  // pfm-lint: allow(concurrency) — barrier-time
                        // capture; the node is leaving either way, a
                        // failing goodbye only counts as a node fault
@@ -486,17 +483,15 @@ void FleetController::member_depart(std::size_t i, double at_time, bool drain,
   if (!shard_member_counters_.empty()) {
     shard_member_counters_[layout_.shard_of(i)].left->inc();
   }
+  const auto incarnation = static_cast<std::uint32_t>(n.incarnation);
   obs::record_instant(obs_->tracer(), obs::SpanKind::kMemberLeave,
-                      obs::node_track(i), at_time,
-                      static_cast<std::uint32_t>(incarnations_[i]),
-                      leave_arg);
+                      obs::node_track(i), at_time, incarnation, leave_arg);
   if (flight_ != nullptr) {
     flight_->record_node(
         i, obs::FlightEvent{at_time,
                             drain ? obs::FlightEventKind::kMemberDrain
                                   : obs::FlightEventKind::kMemberLeave,
-                            static_cast<std::uint32_t>(incarnations_[i]),
-                            leave_arg, 0.0});
+                            incarnation, leave_arg, 0.0});
     // A drain is a farewell worth keeping: dump the departing node's
     // recent history as its post-mortem.
     if (drain) flight_->dump_node(i, "drain", at_time);
@@ -504,49 +499,31 @@ void FleetController::member_depart(std::size_t i, double at_time, bool drain,
 }
 
 void FleetController::member_restart(std::size_t i, double at_time) {
-  FleetNodeState& state = member_state(i);
-  if (state.departed) {
+  if (nodes_[i].state.departed) {
     throw std::invalid_argument(
         "FleetController: restart of departed node " + std::to_string(i));
   }
-  retired_system_stats_ += nodes_[i]->system_stats();
-  const std::size_t incarnation = ++incarnations_[i];
-  membership::JoinContext ctx;
-  ctx.node = i;
-  ctx.incarnation = incarnation;
-  ctx.at_time = at_time;
-  ctx.seed = membership::derive_member_seed(config_.membership.plan.seed, i,
-                                            incarnation);
-  ctx.policy_driven = false;
-  auto fresh = config_.membership.factory(ctx);
-  if (!fresh) {
-    throw std::invalid_argument(
-        "FleetController: membership factory returned a null node");
-  }
+  retired_system_stats_ += nodes_[i].system->system_stats();
+  const std::size_t incarnation = nodes_[i].incarnation + 1;
+  // Explicit reset semantics (churn-vs-fault composition): a crashed or
+  // hung incarnation's system, engine, quarantine record, stall streak
+  // and sampling/backoff state die with it — the fresh incarnation starts
+  // clean and dense. Only MeaStats stays cumulative, so injection
+  // decision-stream ordinals keep rising and never replay. Its stale
+  // calendar entry is dropped by the barrier's reshard rebuild
+  // (layout_dirty_ forces one).
+  FleetNode fresh = spawn_member(i, incarnation, at_time, false);
+  fresh.stats = nodes_[i].stats;
   nodes_[i] = std::move(fresh);
-  engines_[i] = core::ActEngine{};
-  for (const auto& f : action_factories_) engines_[i].add_action(f());
-  engines_[i].set_observability(obs_, obs::node_track(i));
   // The fresh incarnation starts with a clean quality window (cumulative
   // tallies persist, like the retired-stats ledger) and a flight ring
   // that keeps recording across the restart boundary.
   if (quality_ != nullptr) quality_->reset_node(i);
   if (flight_ != nullptr) {
-    engines_[i].set_flight(flight_, i);
     flight_->record_node(
         i, obs::FlightEvent{at_time, obs::FlightEventKind::kMemberRestart,
                             static_cast<std::uint32_t>(incarnation), 0, 0.0});
   }
-  // Explicit reset semantics (churn-vs-fault composition): a crashed or
-  // hung incarnation's quarantine record, stall streak and sampling/
-  // backoff state die with it — the fresh incarnation starts clean and
-  // dense. Only MeaStats stays cumulative, so injection decision-stream
-  // ordinals keep rising and never replay.
-  state = FleetNodeState{};
-  const std::size_t s = layout_.shard_of(i);
-  shards_[s]->node_sched_mut(i - layout_.begin(s)) = NodeSchedule{};
-  // Its stale calendar entry is dropped by the barrier's reshard rebuild
-  // (layout_dirty_ forces one).
   layout_dirty_ = true;
   member_left_total_->inc();
   member_joined_total_->inc();
@@ -572,16 +549,16 @@ void FleetController::evaluate_policy(double member_now) {
   }
   bool acted = false;
   // Slots joined earlier in this barrier have no scores yet; they are
-  // excluded until the reshard gives them shard state.
+  // excluded until the reshard gives them a shard.
   const std::size_t limit = layout_.num_nodes;
 
   // Drain-and-failover: nodes whose failure probability crossed the
   // drain threshold leave gracefully; a fresh replacement joins at once.
   if (policy.drain_score >= 0.0) {
     for (std::size_t i = 0; i < limit; ++i) {
-      const FleetNodeState& state = member_state(i);
-      if (state.quarantined || state.departed) continue;
-      const double score = member_score(i);
+      const FleetNode& n = nodes_[i];
+      if (n.state.quarantined || n.state.departed) continue;
+      const double score = n.sched.last_score;
       if (score < policy.drain_score) continue;
       obs::record_instant(obs_->tracer(), obs::SpanKind::kDrainNode,
                           obs::node_track(i), member_now, 0,
@@ -622,14 +599,6 @@ void FleetController::evaluate_policy(double member_now) {
 void FleetController::reshard(double member_now) {
   const core::ShardLayout old_layout = layout_;
   const core::ShardLayout new_layout(nodes_.size(), config_.num_shards);
-  // Export every slot's shard-owned state while all calendar cursors sit
-  // on the shared barrier tick (run_epoch leaves each cursor at the
-  // epoch end, so pending due ticks are all >= every shard's cursor).
-  std::vector<NodeHandoff> handoff(old_layout.num_nodes);
-  for (std::size_t i = 0; i < old_layout.num_nodes; ++i) {
-    const std::size_t s = old_layout.shard_of(i);
-    handoff[i] = shards_[s]->export_node(i - old_layout.begin(s));
-  }
   auto& metrics = obs_->metrics();
   const bool multi = config_.num_shards > 1;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -639,21 +608,20 @@ void FleetController::reshard(double member_now) {
           .set(static_cast<double>(new_layout.size(s)));
     }
   }
+  // A live node whose block moved to another shard counts as a handoff.
   obs::TraceRecorder* tracer = obs_->tracer();
   for (std::size_t i = 0; i < old_layout.num_nodes; ++i) {
     const std::size_t s = new_layout.shard_of(i);
-    shards_[s]->import_node(i - new_layout.begin(s), handoff[i]);
-    if (s != old_layout.shard_of(i) && !handoff[i].state.departed) {
-      member_handoffs_total_->inc();
-      if (!shard_member_counters_.empty()) {
-        shard_member_counters_[s].handoffs->inc();
-      }
-      obs::record_instant(tracer, obs::SpanKind::kMemberHandoff,
-                          obs::node_track(i), member_now, 0,
-                          static_cast<std::int64_t>(s));
+    if (s == old_layout.shard_of(i) || nodes_[i].state.departed) continue;
+    member_handoffs_total_->inc();
+    if (!shard_member_counters_.empty()) {
+      shard_member_counters_[s].handoffs->inc();
     }
+    obs::record_instant(tracer, obs::SpanKind::kMemberHandoff,
+                        obs::node_track(i), member_now, 0,
+                        static_cast<std::int64_t>(s));
   }
-  // Joined slots enter their shard with fresh state; the barrier's
+  // Joined slots enter their shard with fresh records; the barrier's
   // activate() pass schedules them at the shared cursor.
   for (std::size_t i = old_layout.num_nodes; i < new_layout.num_nodes; ++i) {
     if (!shard_member_counters_.empty()) {
@@ -663,39 +631,11 @@ void FleetController::reshard(double member_now) {
   layout_ = new_layout;
 }
 
-const FleetNodeState& FleetController::node_state(std::size_t i) const {
-  const std::size_t s = layout_.shard_of(i);
-  return shards_[s]->node_state(i - layout_.begin(s));
-}
-
-FleetNodeState& FleetController::member_state(std::size_t i) {
-  const std::size_t s = layout_.shard_of(i);
-  return shards_[s]->node_state_mut(i - layout_.begin(s));
-}
-
-double FleetController::member_score(std::size_t i) const {
-  const std::size_t s = layout_.shard_of(i);
-  return shards_[s]->node_sched(i - layout_.begin(s)).last_score;
-}
-
-bool FleetController::node_departed(std::size_t i) const {
-  return node_state(i).departed;
-}
-
-std::size_t FleetController::node_incarnation(std::size_t i) const {
-  if (i >= nodes_.size()) {
-    throw std::out_of_range("FleetController: bad node index");
-  }
-  return i < incarnations_.size() ? incarnations_[i] : 0;
-}
-
-bool FleetController::node_quarantined(std::size_t i) const {
-  return node_state(i).quarantined;
-}
-
-const std::string& FleetController::node_quarantine_reason(
-    std::size_t i) const {
-  return node_state(i).reason;
+std::size_t FleetController::quarantined_nodes() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(nodes_.begin(), nodes_.end(), [](const FleetNode& n) {
+        return n.state.quarantined;
+      }));
 }
 
 bool FleetController::predictor_tripped(std::size_t p) const {
@@ -735,9 +675,8 @@ FleetTelemetry FleetController::telemetry() const {
   out.resilience.predictor_faults = inst_.predictor_faults_total->value();
   out.resilience.breaker_trips = inst_.breaker_trips_total->value();
   out.resilience.scores_sanitized = inst_.scores_sanitized_total->value();
-  // Level counts live in the shard banks.
+  out.resilience.nodes_quarantined = quarantined_nodes();
   for (const auto& shard : shards_) {
-    out.resilience.nodes_quarantined += shard->quarantined_nodes();
     out.resilience.breakers_open += shard->open_breakers();
   }
   if (member_joined_total_ != nullptr) {
@@ -747,9 +686,9 @@ FleetTelemetry FleetController::telemetry() const {
     out.membership.scale_ups = member_scale_ups_total_->value();
     out.membership.drains = member_drains_total_->value();
   }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    out.mea += stats_[i];
-    out.system += nodes_[i]->system_stats();
+  for (const auto& n : nodes_) {
+    out.mea += n.stats;
+    out.system += n.system->system_stats();
   }
   // Restarted slots: their previous incarnations' work is accumulated
   // here so fleet totals never go backwards across a restart.

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -136,8 +137,7 @@ struct FleetTelemetry {
                               ///< the retired stats of replaced systems
 };
 
-/// Per-node loop state beyond the MEA counters. Owned by the node's shard;
-/// a reshard hands it to the new owner (NodeHandoff).
+/// Per-node hardening and membership state beyond the MEA counters.
 struct FleetNodeState {
   bool quarantined = false;
   std::string reason;
@@ -148,6 +148,31 @@ struct FleetNodeState {
   /// but the node is excluded from every stage from depart_time on.
   bool departed = false;
   double depart_time = 0.0;
+};
+
+/// Per-node sampling state of the calendar (runtime/schedule.hpp).
+struct NodeSchedule {
+  bool scheduled = false;
+  std::uint32_t pending_gap = 1;   ///< ticks the due visit will cover
+  std::uint32_t prev_gap = 1;      ///< adaptive backoff memory
+  std::uint64_t seen_events = 0;   ///< trace append counts at the last
+  std::uint64_t seen_failures = 0; ///< visit, for symptom-delta triggers
+  std::uint64_t due_tick = 0;      ///< calendar tick of the pending visit
+  double last_score = 0.0;         ///< combined score at the last visit
+};
+
+/// One fleet node: the managed system and everything its MEA loop keeps
+/// about it. The controller owns one record per slot, indexed by global
+/// node index; a shard reads and writes the records of its block, so a
+/// reshard only re-partitions the index range and rebuilds calendars.
+struct FleetNode {
+  std::unique_ptr<core::ManagedSystem> system;
+  core::ActEngine engine;
+  core::MeaStats stats;
+  FleetNodeState state;
+  NodeSchedule sched;
+  /// 0 for the initial population, +1 per membership restart.
+  std::size_t incarnation = 0;
 };
 
 /// Per-predictor circuit breaker (closed -> open -> half-open probe).
@@ -186,9 +211,10 @@ struct FleetInstruments {
 /// production scale: shared, immutable predictors; one Act engine and
 /// one deterministic RNG stream per node.
 ///
-/// The fleet is partitioned into contiguous shards (core::ShardLayout),
-/// each owned by a ShardController that drains its own calendar queue of
-/// node due-times (runtime/schedule.hpp): per calendar tick, the due
+/// The controller keeps one FleetNode record per slot. The records are
+/// partitioned into contiguous blocks (core::ShardLayout), each run by a
+/// ShardController that drains its own calendar queue of node due-times
+/// (runtime/schedule.hpp): per calendar tick, the due
 /// nodes step (Monitor), each predictor scores the due set in one
 /// arena-backed score_batch call (Evaluate), and warned nodes run their
 /// countermeasures (Act). Shards meet at cross-shard epoch barriers,
@@ -255,21 +281,31 @@ class FleetController {
   /// reader needing a longer history, such as a core::Diagnoser with a
   /// longer evidence window than the data window, sees just the retained
   /// tail.
-  const core::ManagedSystem& node(std::size_t i) const { return *nodes_.at(i); }
+  const core::ManagedSystem& node(std::size_t i) const {
+    return *nodes_.at(i).system;
+  }
   const core::MeaStats& node_mea_stats(std::size_t i) const {
-    return stats_.at(i);
+    return nodes_.at(i).stats;
   }
 
-  bool node_quarantined(std::size_t i) const;
+  bool node_quarantined(std::size_t i) const {
+    return nodes_.at(i).state.quarantined;
+  }
   /// Human-readable cause ("" while not quarantined).
-  const std::string& node_quarantine_reason(std::size_t i) const;
+  const std::string& node_quarantine_reason(std::size_t i) const {
+    return nodes_.at(i).state.reason;
+  }
   /// True once membership removed node `i` (leave or drain). The slot —
   /// and the ManagedSystem behind it, frozen at depart time — remains
   /// addressable.
-  bool node_departed(std::size_t i) const;
+  bool node_departed(std::size_t i) const {
+    return nodes_.at(i).state.departed;
+  }
   /// Current incarnation of slot `i`: 0 for the initial population,
   /// +1 per membership restart. Always 0 while membership is inactive.
-  std::size_t node_incarnation(std::size_t i) const;
+  std::size_t node_incarnation(std::size_t i) const {
+    return nodes_.at(i).incarnation;
+  }
 
   /// True when predictor `p`'s breaker is currently open in any shard
   /// (predictors are numbered symptom first, then event, in registration
@@ -326,20 +362,22 @@ class FleetController {
   /// Appends a fresh slot (seeded via derive_member_seed); returns it.
   std::size_t member_join(double at_time, bool policy_driven)
       PFM_REQUIRES(controller_);
+  /// A fresh record for slot `i` at `incarnation`: the membership
+  /// factory's system and an Act engine armed with every registered
+  /// countermeasure, the hub and the flight recorder.
+  FleetNode spawn_member(std::size_t i, std::size_t incarnation,
+                         double at_time, bool policy_driven)
+      PFM_REQUIRES(controller_);
   /// `leave_arg` is the kMemberLeave span payload: 0 leave, 1 drain.
   void member_depart(std::size_t i, double at_time, bool drain,
                      std::int64_t leave_arg) PFM_REQUIRES(controller_);
   void member_restart(std::size_t i, double at_time)
       PFM_REQUIRES(controller_);
   void evaluate_policy(double member_now) PFM_REQUIRES(controller_);
-  /// Rebuilds the shard partition over the grown fleet with warm
-  /// per-node handoff.
+  /// Re-partitions the grown fleet into shard blocks; each shard rebuilds
+  /// its calendar from the records of its new block.
   void reshard(double member_now) PFM_REQUIRES(controller_);
-  /// Node `i`'s loop state, in the shard that owns it.
-  const FleetNodeState& node_state(std::size_t i) const;
-  FleetNodeState& member_state(std::size_t i) PFM_REQUIRES(controller_);
-  /// Last combined score of node `i` (the policy's drain signal).
-  double member_score(std::size_t i) const PFM_REQUIRES(controller_);
+  std::size_t quarantined_nodes() const noexcept;
 
   /// Arms the quality tracker and flight recorder for a run: builds the
   /// tracker on first use (FleetConfig::quality on), re-declares the
@@ -352,12 +390,10 @@ class FleetController {
   /// multi-shard fleet) when a run settles.
   void refresh_quality_gauges();
 
-  std::vector<std::unique_ptr<core::ManagedSystem>> nodes_;
+  std::vector<FleetNode> nodes_;  // one record per slot
   FleetConfig config_;
   std::vector<std::shared_ptr<const pred::SymptomPredictor>> symptom_;
   std::vector<std::shared_ptr<const pred::EventPredictor>> event_;
-  std::vector<core::ActEngine> engines_;  // one per node
-  std::vector<core::MeaStats> stats_;     // one per node
   ThreadPool pool_;
 
   // Observability. The handles in inst_ are sharded instruments — safe
@@ -388,26 +424,26 @@ class FleetController {
   obs::Gauge* availability_drift_gauge_ = nullptr;
 
   // The shard partition and one controller per block, built with the
-  // fleet. Shards own their slice's quarantine/breaker/scheduling state;
-  // during an epoch each shard is driven by exactly one thread and the
-  // epoch barrier (the pool handshake) publishes everything back to this
-  // thread. epoch_end_tick_ doubles as the membership clock: before the
-  // k-th epoch it reads k * epoch_ticks intervals.
+  // fleet. During an epoch each shard is driven by exactly one thread and
+  // writes only the node records of its block plus its own calendar,
+  // breakers and arenas; the epoch barrier (the pool handshake) publishes
+  // everything back to this thread. epoch_end_tick_ doubles as the
+  // membership clock: before the k-th epoch it reads k * epoch_ticks
+  // intervals.
   core::ShardLayout layout_;
   std::vector<std::unique_ptr<ShardController>> shards_;
   std::uint64_t epoch_end_tick_ = 0;
 
   // Elastic membership. All of it is controller-thread barrier-time
-  // state; the hot loops only ever read the departed flag through the
-  // shards' node states. member_active_ gates every membership code
-  // path — inactive configs register nothing and change nothing,
-  // preserving byte-identity with membership-free builds.
+  // state; the hot loops only ever read the records' departed flags.
+  // member_active_ gates every membership code path — inactive configs
+  // register nothing and change nothing, preserving byte-identity with
+  // membership-free builds.
   bool member_active_ = false;
   std::vector<membership::MemberChange> member_timeline_;
   std::size_t next_member_change_ = 0;
   std::size_t live_nodes_ = 0;
-  std::vector<std::size_t> incarnations_;  // per slot, +1 per restart
-  bool layout_dirty_ = false;              // joins/restarts await reshard
+  bool layout_dirty_ = false;  // joins/restarts await reshard
   std::size_t policy_cooldown_left_ = 0;
   std::size_t policy_joins_ = 0;
   /// SystemStats of systems replaced by restarts (their successors start
@@ -431,8 +467,9 @@ class FleetController {
   };
   std::vector<ShardMemberCounters> shard_member_counters_;
 
-  // The controller role: membership barriers mutate shard-owned state
-  // and the fleet layout, which is only legal between parallel sections.
+  // The controller role: membership barriers mutate node records, shard
+  // calendars and the fleet layout, which is only legal between parallel
+  // sections.
   // Functions that do so require the capability, which only the
   // controller thread acquires (RoleGuard) — so calling them from a
   // worker lambda breaks the Clang -Wthread-safety build.

@@ -77,9 +77,7 @@ ShardController::ShardController(ShardEnv env, std::size_t shard_index,
       // The ring must reach every schedulable gap: [1, max_gap] adaptive,
       // exactly 1 dense.
       calendar_(env.config->schedule.adaptive ? env.config->schedule.max_gap + 1
-                                              : 2),
-      sched_(count),
-      node_state_(count) {}
+                                              : 2) {}
 
 void ShardController::set_shard_metrics(obs::Counter* ticks,
                                         obs::Counter* node_steps) {
@@ -106,12 +104,10 @@ void ShardController::set_quality(obs::QualityTracker* quality,
 
 void ShardController::activate(double t) {
   for (std::size_t local = 0; local < count_; ++local) {
-    auto& ns = sched_[local];
-    if (ns.scheduled || node_state_[local].quarantined ||
-        node_state_[local].departed) {
-      continue;
-    }
-    const auto& node = *(*env_.nodes)[base_ + local];
+    FleetNode& n = record(local);
+    auto& ns = n.sched;
+    if (ns.scheduled || n.state.quarantined || n.state.departed) continue;
+    const auto& node = *n.system;
     if (node.finished() || node.now() >= t) continue;
     calendar_.schedule(calendar_.cursor(), static_cast<std::uint32_t>(local));
     ns.scheduled = true;
@@ -123,42 +119,28 @@ void ShardController::activate(double t) {
   }
 }
 
-NodeHandoff ShardController::export_node(std::size_t local) const {
-  return NodeHandoff{node_state_.at(local), sched_.at(local)};
-}
-
 void ShardController::reshape(std::size_t base, std::size_t count) {
   base_ = base;
   count_ = count;
   // The calendar empties but keeps its cursor: every shard's cursor sits
-  // on the shared epoch-barrier tick when a reshard runs, so re-imported
-  // due ticks (all >= the barrier) stay inside the ring's window.
+  // on the shared epoch-barrier tick when a reshard runs, so pending due
+  // ticks (all scheduled beyond that barrier) stay inside the ring's
+  // window; the max() is defensive.
   calendar_.clear();
-  sched_.assign(count, NodeSchedule{});
-  node_state_.assign(count, FleetNodeState{});
-}
-
-void ShardController::import_node(std::size_t local,
-                                  const NodeHandoff& handoff) {
-  node_state_.at(local) = handoff.state;
-  auto& ns = sched_.at(local);
-  ns = handoff.sched;
-  if (ns.scheduled) {
-    // Anything still pending was scheduled beyond the barrier the export
-    // ran at, so due_tick >= cursor(); the max() is defensive.
-    const std::uint64_t tick = std::max(ns.due_tick, calendar_.cursor());
-    calendar_.schedule(tick, static_cast<std::uint32_t>(local));
-    ns.due_tick = tick;
+  for (std::size_t local = 0; local < count_; ++local) {
+    auto& ns = record(local).sched;
+    if (!ns.scheduled) continue;
+    ns.due_tick = std::max(ns.due_tick, calendar_.cursor());
+    calendar_.schedule(ns.due_tick, static_cast<std::uint32_t>(local));
   }
 }
 
 double ShardController::score_mass() const noexcept {
   double mass = 0.0;
   for (std::size_t local = 0; local < count_; ++local) {
-    if (node_state_[local].quarantined || node_state_[local].departed) {
-      continue;
-    }
-    mass += sched_[local].last_score;
+    const FleetNode& n = record(local);
+    if (n.state.quarantined || n.state.departed) continue;
+    mass += n.sched.last_score;
   }
   return mass;
 }
@@ -181,11 +163,12 @@ void ShardController::run_captured(
 // pfm-cold
 void ShardController::quarantine_local(std::size_t local,
                                        const std::string& reason) {
-  auto& state = node_state_[local];
+  FleetNode& n = record(local);
+  auto& state = n.state;
   if (state.quarantined) return;
   state.quarantined = true;
   state.reason = reason;
-  state.quarantine_time = (*env_.nodes)[base_ + local]->now();
+  state.quarantine_time = n.system->now();
   env_.inst.quarantines_total->inc();
   obs::record_instant(tracer_, obs::SpanKind::kQuarantine,
                       obs::node_track(base_ + local), state.quarantine_time);
@@ -200,8 +183,9 @@ void ShardController::quarantine_local(std::size_t local,
 
 bool ShardController::node_is_hot(std::size_t local, double combined_score) {
   const FleetConfig& config = *env_.config;
-  const auto& node = *(*env_.nodes)[base_ + local];
-  auto& ns = sched_[local];
+  FleetNode& n = record(local);
+  const auto& node = *n.system;
+  auto& ns = n.sched;
   const std::uint64_t events = node.trace().event_count();
   const std::uint64_t failures = node.trace().failures().size();
   const bool delta = events != ns.seen_events || failures != ns.seen_failures;
@@ -229,10 +213,10 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
   // off the calendar, so the filter is defensive only.
   active_.clear();
   for (const std::uint32_t local : due_) {
-    sched_[local].scheduled = false;
-    const auto& node = *nodes[base_ + local];
-    if (node_state_[local].quarantined || node_state_[local].departed ||
-        node.finished() || node.now() >= t) {
+    FleetNode& n = record(local);
+    n.sched.scheduled = false;
+    if (n.state.quarantined || n.state.departed || n.system->finished() ||
+        n.system->now() >= t) {
       continue;
     }
     active_.push_back(local);
@@ -252,9 +236,9 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
   // --- Monitor: advance every due node by its pending gap. -----------------
   const auto monitor_start = WallClock::now();
   pre_step_time_.resize(active_.size());
-  double round_begin = nodes[base_ + active_[0]]->now();
+  double round_begin = record(active_[0]).system->now();
   for (std::size_t a = 0; a < active_.size(); ++a) {
-    pre_step_time_[a] = nodes[base_ + active_[a]]->now();
+    pre_step_time_[a] = record(active_[a]).system->now();
     round_begin = std::min(round_begin, pre_step_time_[a]);
   }
   {
@@ -263,45 +247,43 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
                                  static_cast<std::int64_t>(active_.size()));
     run_captured(active_.size(), [this, t](std::size_t a) {
       const std::size_t local = active_[a];
-      const std::size_t i = base_ + local;
-      auto& node = *(*env_.nodes)[i];
+      FleetNode& n = record(local);
+      auto& node = *n.system;
       const double target =
-          std::min(node.now() + sched_[local].pending_gap *
+          std::min(node.now() + n.sched.pending_gap *
                                     env_.config->mea.evaluation_interval,
                    t);
       obs::ScopedSpan span(tracer_, obs::SpanKind::kNodeStep,
-                           obs::node_track(i), pre_step_time_[a]);
+                           obs::node_track(base_ + local), pre_step_time_[a]);
       node.step_to(target);
       span.set_sim_end(node.now());
     });
     for (std::size_t a = 0; a < active_.size(); ++a) {
       const std::size_t local = active_[a];
-      const std::size_t i = base_ + local;
+      FleetNode& n = record(local);
       if (errors_[a]) {
         inst.node_faults_total->inc();
         quarantine_local(local, describe(errors_[a]));
-      } else if (!nodes[i]->finished() &&
-                 nodes[i]->now() <= pre_step_time_[a]) {
+      } else if (!n.system->finished() &&
+                 n.system->now() <= pre_step_time_[a]) {
         // Returned but made no time progress: a hang, not a crash.
         inst.stall_detections_total->inc();
-        if (++node_state_[local].stall_streak >= kStallSteps) {
-          quarantine_local(local,
-                           stall_reason(node_state_[local].stall_streak));
+        if (++n.state.stall_streak >= kStallSteps) {
+          quarantine_local(local, stall_reason(n.state.stall_streak));
         }
       } else {
-        node_state_[local].stall_streak = 0;
+        n.state.stall_streak = 0;
       }
     }
     // Nodes quarantined this tick drop out of Evaluate/Act.
-    const auto& node_state = node_state_;
     active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                 [&](std::size_t local) {
-                                   return node_state[local].quarantined;
+                                 [this](std::size_t local) {
+                                   return record(local).state.quarantined;
                                  }),
                   active_.end());
     double round_end = round_begin;
     for (const std::size_t local : active_) {
-      round_end = std::max(round_end, nodes[base_ + local]->now());
+      round_end = std::max(round_end, record(local).system->now());
     }
     monitor_span.set_sim_end(round_end);
   }
@@ -314,8 +296,8 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
   // this shard-count invariant).
   if (quality_ != nullptr) {
     for (const std::size_t local : active_) {
-      const std::size_t i = base_ + local;
-      quality_->resolve(i, nodes[i]->now(), nodes[i]->trace().failures());
+      const auto& node = *record(local).system;
+      quality_->resolve(base_ + local, node.now(), node.trace().failures());
     }
   }
 
@@ -324,9 +306,9 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
   // Scoring and acting happen "at" the tick's post-Monitor instant; a
   // deterministic reduction over node clocks, so span timestamps stay
   // thread-count invariant.
-  double eval_time = nodes[base_ + active_[0]]->now();
+  double eval_time = record(active_[0]).system->now();
   for (const std::size_t local : active_) {
-    eval_time = std::max(eval_time, nodes[base_ + local]->now());
+    eval_time = std::max(eval_time, record(local).system->now());
   }
   {
     obs::ScopedSpan evaluate_span(tracer_, obs::SpanKind::kEvaluateStage,
@@ -337,8 +319,9 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
     sequences_.clear();
     for (std::size_t a = 0; a < active_.size(); ++a) {
       const std::size_t i = base_ + active_[a];
-      auto& node = *nodes[i];
-      auto& st = (*env_.stats)[i];
+      FleetNode& n = nodes[i];
+      auto& node = *n.system;
+      auto& st = n.stats;
       ++st.evaluations;
       if (!symptom.empty() && !node.trace().samples().empty()) {
         contexts_.push_back(node.symptom_context(config.mea.context_samples));
@@ -463,8 +446,9 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
       for (std::size_t a = 0; a < active_.size(); ++a) {
         const std::size_t i = base_ + active_[a];
         flight_->record_node(
-            i, obs::FlightEvent{nodes[i]->now(), obs::FlightEventKind::kScore,
-                                0, 0, combined_[a]});
+            i, obs::FlightEvent{nodes[i].system->now(),
+                                obs::FlightEventKind::kScore, 0, 0,
+                                combined_[a]});
       }
     }
     // Quality: record this tick's evaluation instants (per-predictor
@@ -496,7 +480,7 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
           quality_row_[p] = v;
         }
         quality_row_[num_predictors] = combined_[a];
-        quality_->observe(i, nodes[i]->now(), quality_row_.data());
+        quality_->observe(i, nodes[i].system->now(), quality_row_.data());
       }
     }
   }  // evaluate_span
@@ -520,27 +504,24 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
       if (combined_[a] < threshold) continue;
       ++warned;
       inst.warnings_total->inc();
-      obs::record_instant(tracer_, obs::SpanKind::kWarning,
-                          obs::node_track(base_ + active_[a]),
-                          nodes[base_ + active_[a]]->now(), 0,
+      const std::size_t i = base_ + active_[a];
+      const double now = nodes[i].system->now();
+      obs::record_instant(tracer_, obs::SpanKind::kWarning, obs::node_track(i),
+                          now, 0,
                           static_cast<std::int64_t>(combined_[a] * 1e6));
       if (flight_ != nullptr) {
         flight_->record_node(
-            base_ + active_[a],
-            obs::FlightEvent{nodes[base_ + active_[a]]->now(),
-                             obs::FlightEventKind::kWarning, 0,
-                             static_cast<std::int64_t>(combined_[a] * 1e6),
-                             combined_[a]});
+            i, obs::FlightEvent{now, obs::FlightEventKind::kWarning, 0,
+                                static_cast<std::int64_t>(combined_[a] * 1e6),
+                                combined_[a]});
       }
     }
     act_span.set_arg(warned);
     run_captured(active_.size(), [this](std::size_t a) {
       if (combined_[a] < env_.config->mea.warning_threshold) return;
-      const std::size_t i = base_ + active_[a];
-      auto& stats = (*env_.stats)[i];
-      ++stats.warnings;
-      (*env_.engines)[i].act(*(*env_.nodes)[i], combined_[a],
-                             env_.config->mea, stats);
+      FleetNode& n = record(active_[a]);
+      ++n.stats.warnings;
+      n.engine.act(*n.system, combined_[a], env_.config->mea, n.stats);
     });
     for (std::size_t a = 0; a < active_.size(); ++a) {
       if (!errors_[a]) continue;
@@ -554,11 +535,11 @@ void ShardController::process_tick(std::uint64_t tick, double t) {
   const SchedulePolicy& policy = config.schedule;
   for (std::size_t a = 0; a < active_.size(); ++a) {
     const std::size_t local = active_[a];
-    sched_[local].last_score = combined_[a];
-    if (node_state_[local].quarantined) continue;
-    const auto& node = *nodes[base_ + local];
-    if (node.finished() || node.now() >= t) continue;
-    auto& ns = sched_[local];
+    FleetNode& n = record(local);
+    n.sched.last_score = combined_[a];
+    if (n.state.quarantined) continue;
+    if (n.system->finished() || n.system->now() >= t) continue;
+    auto& ns = n.sched;
     const bool hot = !policy.adaptive || node_is_hot(local, combined_[a]);
     const std::size_t gap = policy.next_gap(ns.prev_gap, hot);
     ns.prev_gap = static_cast<std::uint32_t>(gap);
@@ -575,14 +556,6 @@ std::size_t ShardController::open_breakers() const noexcept {
     if (breaker.open) ++open;
   }
   return open;
-}
-
-std::size_t ShardController::quarantined_nodes() const noexcept {
-  std::size_t quarantined = 0;
-  for (const auto& state : node_state_) {
-    if (state.quarantined) ++quarantined;
-  }
-  return quarantined;
 }
 
 std::size_t ShardController::scratch_capacity_bytes() const noexcept {

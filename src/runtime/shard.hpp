@@ -2,16 +2,16 @@
 
 // Per-shard controller of the fleet runtime (DESIGN.md §9): the one
 // implementation of the hardened Monitor-Evaluate-Act round. A
-// ShardController owns one contiguous block of the fleet and everything
-// stateful about running it: the block's calendar queue and sampling
-// state, its quarantine records, its own bank of predictor circuit
-// breakers, and its own BatchScratch arenas. During an epoch a shard is
-// driven by exactly one thread and touches only shard-local state plus
-// sharded metric instruments (and the shared read-only predictors), so
-// shards compose without locks: the cross-shard epoch barrier in
-// FleetController::run_until is the only synchronization. A lone shard
-// fans its per-node and per-predictor loops out over the fleet's pool;
-// inside a multi-shard fleet they run inline.
+// ShardController runs one contiguous block of the fleet's node records
+// (FleetNode, owned by the FleetController) and owns what is per shard:
+// the block's calendar queue, its own bank of predictor circuit breakers,
+// its BatchScratch arenas and the tick scratch. During an epoch a shard is
+// driven by exactly one thread and writes only the records of its block,
+// its own state and sharded metric instruments (the predictors are
+// shared read-only), so shards compose without locks: the cross-shard
+// epoch barrier in FleetController::run_until is the only
+// synchronization. A lone shard fans its per-node and per-predictor loops
+// out over the fleet's pool; inside a multi-shard fleet they run inline.
 
 #include <cstdint>
 #include <exception>
@@ -25,15 +25,13 @@
 
 namespace pfm::runtime {
 
-/// What a shard borrows from its owning FleetController: the fleet-wide
-/// component vectors (the shard only ever touches indices inside its
-/// block) and the shared observability handles. All pointers outlive the
-/// shard — the controller owns both sides.
+/// What a shard borrows from its owning FleetController: the fleet's node
+/// records (the shard only ever touches indices inside its block), the
+/// shared predictors and the observability handles. All pointers outlive
+/// the shard — the controller owns both sides.
 struct ShardEnv {
   const FleetConfig* config = nullptr;
-  std::vector<std::unique_ptr<core::ManagedSystem>>* nodes = nullptr;
-  std::vector<core::ActEngine>* engines = nullptr;
-  std::vector<core::MeaStats>* stats = nullptr;
+  std::vector<FleetNode>* nodes = nullptr;
   const std::vector<std::shared_ptr<const pred::SymptomPredictor>>* symptom =
       nullptr;
   const std::vector<std::shared_ptr<const pred::EventPredictor>>* event =
@@ -44,30 +42,6 @@ struct ShardEnv {
   /// Monitor, per-predictor Evaluate and Act loops on it. Null: the loops
   /// run inline on the thread driving the shard.
   ThreadPool* pool = nullptr;
-};
-
-/// Per-node adaptive sampling state. Public (namespace scope) because it
-/// is also the warm-handoff payload of elastic membership: when a
-/// reshard moves a node between shards, its sampling/backoff state
-/// travels with it so the surviving node's schedule — and therefore its
-/// results — are bit-identical to an uninterrupted run.
-struct NodeSchedule {
-  bool scheduled = false;
-  std::uint32_t pending_gap = 1;   ///< ticks the due visit will cover
-  std::uint32_t prev_gap = 1;      ///< adaptive backoff memory
-  std::uint64_t seen_events = 0;   ///< trace append counts at the last
-  std::uint64_t seen_failures = 0; ///< visit, for symptom-delta triggers
-  std::uint64_t due_tick = 0;      ///< calendar tick of the pending visit
-  double last_score = 0.0;         ///< combined score at the last visit
-};
-
-/// Warm-handoff payload of one node slot: everything shard-owned that
-/// must survive an online reshard (quarantine record + sampling state).
-/// Exported at an epoch barrier — when every shard's calendar cursor
-/// sits on the same shared tick — and re-imported into the new owner.
-struct NodeHandoff {
-  FleetNodeState state;
-  NodeSchedule sched;
 };
 
 /// One shard of the fleet: a Monitor-Evaluate-Act engine over the due set
@@ -114,33 +88,13 @@ class ShardController {
   void run_epoch(std::uint64_t end_tick, double t);
 
   std::size_t shard_index() const noexcept { return shard_index_; }
-  std::size_t base() const noexcept { return base_; }
-  std::size_t size() const noexcept { return count_; }
 
-  const FleetNodeState& node_state(std::size_t local) const {
-    return node_state_.at(local);
-  }
-  /// Mutable slot state, for the owning controller's membership barrier
-  /// (restart resets, departed marks). Controller-thread only — shards
-  /// are quiescent at barriers.
-  FleetNodeState& node_state_mut(std::size_t local) {
-    return node_state_.at(local);
-  }
-  const NodeSchedule& node_sched(std::size_t local) const {
-    return sched_.at(local);
-  }
-  NodeSchedule& node_sched_mut(std::size_t local) { return sched_.at(local); }
-
-  /// Elastic membership (controller-thread, epoch barriers only):
-  /// export_node captures one slot's warm-handoff payload; reshape moves
-  /// the shard to a new contiguous block (clearing the calendar but
-  /// keeping its cursor on the shared epoch grid, plus the per-predictor
-  /// breakers/arenas, which stay with the shard); import_node restores a
-  /// payload into the new block, re-inserting pending calendar entries
-  /// at their original due ticks.
-  NodeHandoff export_node(std::size_t local) const;
+  /// Moves the shard to the block [base, base + count) (controller
+  /// thread, epoch barriers only): the calendar empties but keeps its
+  /// cursor on the shared epoch grid, and every scheduled record of the
+  /// new block is re-inserted at its due tick (never before the cursor).
+  /// Breakers and arenas stay with the shard.
   void reshape(std::size_t base, std::size_t count);
-  void import_node(std::size_t local, const NodeHandoff& handoff);
 
   /// Summed last combined score over live (non-quarantined, non-departed)
   /// nodes — the shard's contribution to the elasticity policy's
@@ -151,7 +105,6 @@ class ShardController {
     return p < breakers_.size() && breakers_[p].open;
   }
   std::size_t open_breakers() const noexcept;
-  std::size_t quarantined_nodes() const noexcept;
 
   std::size_t scratch_capacity_bytes() const noexcept;
   std::size_t scratch_grow_events() const noexcept {
@@ -159,6 +112,10 @@ class ShardController {
   }
 
  private:
+  FleetNode& record(std::size_t local) { return (*env_.nodes)[base_ + local]; }
+  const FleetNode& record(std::size_t local) const {
+    return (*env_.nodes)[base_ + local];
+  }
   void process_tick(std::uint64_t tick, double t);
   /// Runs fn(0) ... fn(n-1) — on the pool when the shard has one, inline
   /// otherwise — capturing each index's exception into errors_[index].
@@ -182,8 +139,6 @@ class ShardController {
   std::size_t flight_lane_base_ = 0;
 
   CalendarQueue calendar_;
-  std::vector<NodeSchedule> sched_;
-  std::vector<FleetNodeState> node_state_;
   std::vector<PredictorBreaker> breakers_;
   /// Shard-local round ordinal: the `sub` of this shard's stage spans.
   std::uint32_t local_rounds_ = 0;
