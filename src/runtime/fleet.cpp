@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "ctmc/pfm_model.hpp"
-#include "prediction/frozen.hpp"
-#include "prediction/ubf.hpp"
 #include "runtime/shard.hpp"
 
 namespace pfm::runtime {
@@ -185,25 +183,6 @@ void FleetController::add_event_predictor(
     std::shared_ptr<const pred::EventPredictor> p) {
   if (!p) throw std::invalid_argument("FleetController: null predictor");
   event_.push_back(std::move(p));
-}
-
-std::vector<std::string> FleetController::freeze_symptom_predictors(
-    const std::string& dir) const {
-  std::vector<std::string> paths;
-  for (std::size_t i = 0; i < symptom_.size(); ++i) {
-    const auto* ubf = dynamic_cast<const pred::UbfPredictor*>(symptom_[i].get());
-    if (ubf == nullptr) continue;  // no freeze path for this predictor type
-    const auto model = ubf->export_model();
-    std::string path = dir + "/" + model.name + "_" + std::to_string(i) +
-                       ".pfmfrozen";
-    const pred::FrozenError err = pred::freeze(model, path);
-    if (err != pred::FrozenError::kOk) {
-      throw std::runtime_error("FleetController: freeze failed for " + path +
-                               ": " + pred::to_string(err));
-    }
-    paths.push_back(std::move(path));
-  }
-  return paths;
 }
 
 void FleetController::add_action(

@@ -337,17 +337,6 @@ class FleetController {
     return quality_.get();
   }
 
-  /// Freezes every registered mixture-kernel symptom predictor (UBF/RBF)
-  /// into `dir` as `<dir>/<name>_<index>.pfmfrozen` artifacts and returns
-  /// the written paths in registration order; predictors without a freeze
-  /// path are skipped. The train -> freeze -> serve round trip: load each
-  /// artifact with pred::FrozenPredictor::load and register it on a fresh
-  /// controller — the frozen fleet's exports are byte-identical to this
-  /// one's (the conformance suite pins it). Throws std::runtime_error
-  /// when an artifact cannot be written.
-  std::vector<std::string> freeze_symptom_predictors(
-      const std::string& dir) const;
-
  private:
   // --- elastic membership (controller thread, barrier-time only) -----------
   /// A membership change with at_time <= `t` is still waiting to apply.

@@ -447,19 +447,12 @@ TEST(Frozen, TrainFreezeServeFleetExportsAreByteIdentical) {
   EXPECT_EQ(model.name, ubf->name());
   EXPECT_EQ(model.selected, ubf->selected_variables());
 
-  // Freeze through the controller helper, then serve from the artifact.
-  const auto dir = ::testing::TempDir();
-  telecom::SimConfig sim;
-  sim.seed = 21;
-  sim.duration = kDuration;
-  runtime::FleetConfig cfg;
-  cfg.mea.windows = geometry();
-  runtime::FleetController trainer(runtime::make_scp_fleet(sim, 2), cfg);
-  trainer.add_symptom_predictor(ubf);
-  const auto paths = trainer.freeze_symptom_predictors(dir);
-  ASSERT_EQ(paths.size(), 1u);
+  // Freeze the exported model, then serve from the artifact.
+  const std::string path =
+      ::testing::TempDir() + "/" + model.name + "_0.pfmfrozen";
+  ASSERT_EQ(pred::freeze(model, path), pred::FrozenError::kOk);
 
-  auto loaded = pred::FrozenPredictor::load(paths[0]);
+  auto loaded = pred::FrozenPredictor::load(path);
   ASSERT_EQ(loaded.error, pred::FrozenError::kOk)
       << pred::to_string(loaded.error);
   std::shared_ptr<const pred::SymptomPredictor> frozen =
