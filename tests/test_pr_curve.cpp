@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "eval/crossval.hpp"
 #include "eval/metrics.hpp"
 #include "numerics/rng.hpp"
 
@@ -69,52 +68,6 @@ TEST(PrCurve, Validation) {
   EXPECT_THROW(
       pr_curve(std::vector<double>{0.1, 0.2}, std::vector<int>{1, 1}),
       std::invalid_argument);
-}
-
-mon::MonitoringDataset uniform_trace(double duration) {
-  mon::MonitoringDataset ds(mon::SymptomSchema({"x"}));
-  for (double t = 0.0; t <= duration; t += 60.0) {
-    ds.add_sample({t, {t}});
-  }
-  return ds;
-}
-
-TEST(ForwardChaining, FoldsCoverTraceWithoutLeakage) {
-  const auto ds = uniform_trace(6000.0);
-  const auto folds = forward_chaining_folds(ds, 3);
-  ASSERT_EQ(folds.size(), 3u);
-  for (std::size_t i = 0; i < folds.size(); ++i) {
-    // Test always follows training (no future leakage).
-    EXPECT_LT(folds[i].train_end, folds[i].test_end);
-    EXPECT_DOUBLE_EQ(folds[i].train_begin, ds.start_time());
-    if (i > 0) {
-      // Training window grows monotonically.
-      EXPECT_GT(folds[i].train_end, folds[i - 1].train_end);
-    }
-  }
-  EXPECT_DOUBLE_EQ(folds.back().test_end, ds.end_time());
-}
-
-TEST(ForwardChaining, MaterializedFoldsPartitionSamples) {
-  const auto ds = uniform_trace(6000.0);
-  const auto folds = forward_chaining_folds(ds, 4);
-  for (const auto& f : folds) {
-    const auto [train, test] = materialize_fold(ds, f);
-    ASSERT_FALSE(train.samples().empty());
-    ASSERT_FALSE(test.samples().empty());
-    EXPECT_LT(train.samples().back().time, test.samples().front().time);
-    for (const auto& s : test.samples()) {
-      EXPECT_GE(s.time, f.train_end);
-      EXPECT_LT(s.time, f.test_end + 1e-9);
-    }
-  }
-}
-
-TEST(ForwardChaining, Validation) {
-  const auto ds = uniform_trace(6000.0);
-  EXPECT_THROW(forward_chaining_folds(ds, 0), std::invalid_argument);
-  mon::MonitoringDataset empty{mon::SymptomSchema{}};
-  EXPECT_THROW(forward_chaining_folds(empty, 3), std::invalid_argument);
 }
 
 }  // namespace
