@@ -13,13 +13,17 @@
 //  - injected-fault counts of restarted incarnations survive them;
 //  - the prediction-driven scaling loop: preventive scale-up and
 //    drain-and-failover, with cooldown and join caps;
-//  - config and mid-run target validation.
+//  - config and mid-run target validation;
+//  - mutated plans and policies are rejected with a typed error or run
+//    to completion with thread-count invariant results.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -31,6 +35,7 @@
 #include "obs/export.hpp"
 #include "obs/observability.hpp"
 #include "prediction/baselines.hpp"
+#include "property.hpp"
 #include "runtime/fleet.hpp"
 #include "runtime/scp_system.hpp"
 #include "telecom/simulator.hpp"
@@ -218,6 +223,8 @@ struct Artifacts {
   std::vector<bool> node_quarantined;
   std::vector<bool> node_departed;
   std::vector<std::size_t> node_incarnation;
+  /// The deterministic telemetry() fields (latency is wall time).
+  std::vector<std::uint64_t> totals;
 };
 
 struct RunSpec {
@@ -228,6 +235,7 @@ struct RunSpec {
   std::size_t epoch_ticks = 1;
   bool adaptive = false;
   bool hostile = false;
+  double duration = kDuration;
   membership::MembershipPlan plan;
   membership::ElasticityPolicy policy;
 };
@@ -240,7 +248,7 @@ Artifacts run_fleet(const RunSpec& spec) {
 
   telecom::SimConfig sim;
   sim.seed = 21;
-  sim.duration = kDuration;
+  sim.duration = spec.duration;
   sim.leak_mtbf = 21600.0;
 
   runtime::FleetConfig cfg;
@@ -308,6 +316,28 @@ Artifacts run_fleet(const RunSpec& spec) {
   out.num_slots = fleet.num_nodes();
   out.live_nodes = t.nodes;
   out.membership = t.membership;
+  out.totals = {t.rounds,
+                t.epochs,
+                t.node_steps,
+                t.scores_computed,
+                t.warnings_raised,
+                t.resilience.node_faults,
+                t.resilience.nodes_quarantined,
+                t.resilience.stall_detections,
+                t.resilience.predictor_faults,
+                t.resilience.breaker_trips,
+                t.resilience.breakers_open,
+                t.resilience.scores_sanitized,
+                t.mea.evaluations,
+                t.mea.warnings,
+                t.mea.total_actions(),
+                t.mea.action_faults,
+                t.mea.action_retries,
+                t.mea.actions_abandoned,
+                static_cast<std::uint64_t>(t.system.total_requests),
+                static_cast<std::uint64_t>(t.system.failures),
+                bits(t.system.downtime),
+                bits(t.system.simulated)};
   for (std::size_t i = 0; i < fleet.num_nodes(); ++i) {
     out.node_evals.push_back(fleet.node_mea_stats(i).evaluations);
     out.node_warnings.push_back(fleet.node_mea_stats(i).warnings);
@@ -334,6 +364,7 @@ void expect_identical(const Artifacts& a, const Artifacts& b) {
   EXPECT_EQ(a.node_quarantined, b.node_quarantined);
   EXPECT_EQ(a.node_departed, b.node_departed);
   EXPECT_EQ(a.node_incarnation, b.node_incarnation);
+  EXPECT_EQ(a.totals, b.totals);
 }
 
 // --- zero-overhead gating ----------------------------------------------------
@@ -587,6 +618,197 @@ TEST(Membership, PerShardMembershipCountersSumToFleetTotals) {
   EXPECT_EQ(t.membership.nodes_left, left);
   EXPECT_EQ(t.membership.handoffs, handoffs);
   EXPECT_EQ(t.membership.drains, 1u);
+}
+
+// --- plan mutation fuzz ------------------------------------------------------
+
+constexpr double kFuzzDuration = 2.0 * 3600.0;
+
+/// A time around the 2 h horizon: now and then negative, non-finite or
+/// past the horizon.
+double fuzz_time(num::Rng& rng) {
+  const double roll = rng.uniform();
+  if (roll < 0.03) return -60.0;
+  if (roll < 0.06) return std::numeric_limits<double>::quiet_NaN();
+  if (roll < 0.08) return std::numeric_limits<double>::infinity();
+  if (roll < 0.12) return 0.0;
+  return rng.uniform(0.0, kFuzzDuration + 600.0);
+}
+
+/// A count in [0, 16]: mostly 1-4, now and then 0 (invalid) or 16.
+std::size_t fuzz_count(num::Rng& rng) {
+  const double roll = rng.uniform();
+  if (roll < 0.05) return 0;
+  if (roll < 0.10) return 16;
+  return static_cast<std::size_t>(rng.uniform_int(1, 4));
+}
+
+double fuzz_threshold(num::Rng& rng) {
+  const double specials[] = {-1.0, 0.0, 0.2, 0.5, 0.8, 1.5, 3.0,
+                             std::numeric_limits<double>::quiet_NaN()};
+  return specials[rng.uniform_int(0, 7)];
+}
+
+/// One mutation of a plan event's field, of the event list, or of the
+/// elasticity policy. Every count and slot stays <= 16 and the plan keeps
+/// at most 16 events, so no case builds a large fleet.
+void mutate(RunSpec& spec, num::Rng& rng) {
+  auto& events = spec.plan.events;
+  auto& policy = spec.policy;
+  const auto pick = [&] {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(events.size()) - 1));
+  };
+  const auto kind = rng.uniform_int(0, 8);
+  if (events.empty() && kind <= 4) return;
+  switch (kind) {
+    case 0: events[pick()].at_time = fuzz_time(rng); break;
+    case 1:
+      events[pick()].kind =
+          static_cast<membership::ChurnKind>(rng.uniform_int(0, 3));
+      break;
+    case 2:
+      events[pick()].node = static_cast<std::size_t>(rng.uniform_int(0, 16));
+      break;
+    case 3: events[pick()].count = fuzz_count(rng); break;
+    case 4:
+      events[pick()].stagger =
+          rng.bernoulli(0.05) ? -1.0 : rng.uniform(0.0, 900.0);
+      break;
+    case 5:
+      if (events.size() < 16) {
+        membership::ChurnEvent ev;
+        ev.at_time = fuzz_time(rng);
+        ev.kind = static_cast<membership::ChurnKind>(rng.uniform_int(0, 3));
+        ev.node = static_cast<std::size_t>(rng.uniform_int(0, 16));
+        ev.count = fuzz_count(rng);
+        ev.stagger = rng.uniform(0.0, 600.0);
+        events.push_back(ev);
+      }
+      break;
+    case 6:
+      if (!events.empty()) {
+        events.erase(events.begin() + static_cast<std::ptrdiff_t>(pick()));
+      }
+      break;
+    case 7:  // a duplicate: double leaves, restarts of departed slots
+      if (!events.empty() && events.size() < 16) {
+        events.push_back(events[pick()]);
+      }
+      break;
+    default:
+      policy.enabled = !policy.enabled || rng.bernoulli(0.5);
+      policy.scale_up_mass = fuzz_threshold(rng);
+      policy.scale_up_nodes = static_cast<std::size_t>(rng.uniform_int(0, 16));
+      policy.cooldown_epochs =
+          static_cast<std::size_t>(rng.uniform_int(0, 16));
+      policy.drain_score = fuzz_threshold(rng);
+      policy.failover_replace = rng.bernoulli(0.5);
+      policy.max_policy_joins =
+          static_cast<std::size_t>(rng.uniform_int(0, 16));
+      break;
+  }
+}
+
+enum class Outcome { kCompleted, kInvalidArgument, kOutOfRange, kOther };
+
+Outcome run_outcome(const RunSpec& spec, Artifacts& out) {
+  try {
+    out = run_fleet(spec);
+    return Outcome::kCompleted;
+  } catch (const std::invalid_argument&) {
+    return Outcome::kInvalidArgument;
+  } catch (const std::out_of_range&) {
+    return Outcome::kOutOfRange;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "untyped rejection: " << e.what();
+    return Outcome::kOther;
+  }
+}
+
+/// Mutated churn plans and elasticity policies on an 8-node, 4-shard,
+/// adaptive event-driven 2 h fleet (clean or under the hostile fault
+/// plan): each is rejected with std::invalid_argument/std::out_of_range
+/// — at construction or at the barrier that meets the bad change — or it
+/// runs to completion, and either way the outcome, the include_wall=false
+/// exports and the telemetry are the same at 1 and 2 threads. Joins,
+/// leaves and restarts in every order drive the reshard path; clean runs
+/// without the mass trigger must also give every node the results of a
+/// one-shard fleet.
+TEST(Membership, MutatedPlansRejectOrReplayAcrossThreadCounts) {
+  std::size_t completed = 0;
+  std::size_t rejected = 0;
+  std::size_t compared = 0;
+  proptest::run_cases(
+      "membership plan mutation", 0x3e3b, 48, [&](num::Rng& rng, std::size_t) {
+        RunSpec spec;
+        spec.nodes = 8;
+        spec.num_shards = 4;
+        spec.adaptive = true;
+        spec.duration = kFuzzDuration;
+        spec.hostile = rng.bernoulli(0.5);
+        const std::size_t epochs[] = {1, 4, 16};
+        spec.epoch_ticks = epochs[rng.uniform_int(0, 2)];
+        spec.plan.seed = 2026;
+        spec.plan.scale_out(1200.0, 2, 120.0)
+            .node_leave(2400.0, 4)
+            .drain_node(3600.0, 3)
+            .restart_node(4800.0, 1)
+            .rolling_restart(5400.0, 6, 2, 300.0);
+        spec.policy.scale_up_mass = 1.5;
+        spec.policy.scale_up_nodes = 2;
+        spec.policy.cooldown_epochs = 4;
+        spec.policy.drain_score = 0.8;
+        spec.policy.max_policy_joins = 4;
+        const auto rounds = rng.uniform_int(1, 4);
+        for (std::int64_t r = 0; r < rounds; ++r) mutate(spec, rng);
+
+        Artifacts one;
+        const Outcome first = run_outcome(spec, one);
+        RunSpec twice = spec;
+        twice.threads = 2;
+        Artifacts two;
+        ASSERT_EQ(run_outcome(twice, two), first);
+        if (first != Outcome::kCompleted) {
+          ++rejected;
+          return;
+        }
+        ++completed;
+        ASSERT_EQ(one.dropped, 0u);
+        ASSERT_EQ(two.dropped, 0u);
+        expect_identical(one, two);
+
+        // A clean fleet without the mass trigger couples no two nodes
+        // (breakers never trip, the drain test reads each node's own
+        // score), so no node's results may depend on the shard count:
+        // the 4-shard reshards move records between shards, the 1-shard
+        // ones never do.
+        if (spec.hostile ||
+            (spec.policy.enabled && spec.policy.scale_up_mass >= 0.0)) {
+          return;
+        }
+        RunSpec single = spec;
+        single.num_shards = 1;
+        Artifacts lone;
+        ASSERT_EQ(run_outcome(single, lone), Outcome::kCompleted);
+        ++compared;
+        EXPECT_EQ(lone.num_slots, one.num_slots);
+        EXPECT_EQ(lone.live_nodes, one.live_nodes);
+        EXPECT_EQ(lone.node_evals, one.node_evals);
+        EXPECT_EQ(lone.node_warnings, one.node_warnings);
+        EXPECT_EQ(lone.node_quarantined, one.node_quarantined);
+        EXPECT_EQ(lone.node_departed, one.node_departed);
+        EXPECT_EQ(lone.node_incarnation, one.node_incarnation);
+      });
+  // Both outcomes occur, so the sweep exercises validation and the
+  // reshard path alike.
+  EXPECT_GT(completed, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(compared, 0u);
+  std::printf(
+      "membership plan mutants: %zu completed (%zu against one shard), %zu "
+      "rejected\n",
+      completed, compared, rejected);
 }
 
 // --- the prediction-driven scaling loop --------------------------------------
