@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -236,6 +237,9 @@ struct RunSpec {
   bool adaptive = false;
   bool hostile = false;
   double duration = kDuration;
+  /// No leaks and few error events, so an adaptive schedule backs off.
+  bool quiet = false;
+  double hot_score_fraction = 0.5;
   membership::MembershipPlan plan;
   membership::ElasticityPolicy policy;
 };
@@ -250,6 +254,13 @@ Artifacts run_fleet(const RunSpec& spec) {
   sim.seed = 21;
   sim.duration = spec.duration;
   sim.leak_mtbf = 21600.0;
+  if (spec.quiet) {
+    sim.leak_mtbf = 30.0 * 86400.0;
+    sim.cascade_mtbf = 30.0 * 86400.0;
+    sim.spike_mtbf = 30.0 * 86400.0;
+    sim.noise_event_rate = 1.0 / 21600.0;
+    sim.lookalike_event_rate = 1.0 / 21600.0;
+  }
 
   runtime::FleetConfig cfg;
   cfg.mea.windows = geometry();
@@ -260,6 +271,7 @@ Artifacts run_fleet(const RunSpec& spec) {
   cfg.num_shards = spec.num_shards;
   cfg.epoch_ticks = spec.epoch_ticks;
   cfg.schedule.adaptive = spec.adaptive;
+  cfg.schedule.hot_score_fraction = spec.hot_score_fraction;
   cfg.obs = &hub;
 
   inj::FaultInjector injector(hostile_plan());
@@ -727,18 +739,19 @@ Outcome run_outcome(const RunSpec& spec, Artifacts& out) {
 }
 
 /// Mutated churn plans and elasticity policies on an 8-node, 4-shard,
-/// adaptive event-driven 2 h fleet (clean or under the hostile fault
-/// plan): each is rejected with std::invalid_argument/std::out_of_range
+/// adaptive event-driven 2 h fleet (busy or quiet nodes, clean or under
+/// the hostile fault plan): each is rejected with std::invalid_argument/std::out_of_range
 /// — at construction or at the barrier that meets the bad change — or it
 /// runs to completion, and either way the outcome, the include_wall=false
 /// exports and the telemetry are the same at 1 and 2 threads. Joins,
-/// leaves and restarts in every order drive the reshard path; clean runs
-/// without the mass trigger must also give every node the results of a
-/// one-shard fleet.
+/// leaves and restarts in every order drive the reshard path. In clean
+/// runs, survivors must match a membership-free fleet, and without the
+/// mass trigger every node must match a one-shard fleet.
 TEST(Membership, MutatedPlansRejectOrReplayAcrossThreadCounts) {
   std::size_t completed = 0;
   std::size_t rejected = 0;
   std::size_t compared = 0;
+  std::map<std::pair<std::size_t, bool>, Artifacts> references;
   proptest::run_cases(
       "membership plan mutation", 0x3e3b, 48, [&](num::Rng& rng, std::size_t) {
         RunSpec spec;
@@ -747,6 +760,11 @@ TEST(Membership, MutatedPlansRejectOrReplayAcrossThreadCounts) {
         spec.adaptive = true;
         spec.duration = kFuzzDuration;
         spec.hostile = rng.bernoulli(0.5);
+        // Quiet nodes, and a hot score near the warning threshold, let the
+        // adaptive schedule back off, so reshards meet records due beyond
+        // the barrier.
+        spec.quiet = rng.bernoulli(0.5);
+        spec.hot_score_fraction = 0.9;
         const std::size_t epochs[] = {1, 4, 16};
         spec.epoch_ticks = epochs[rng.uniform_int(0, 2)];
         spec.plan.seed = 2026;
@@ -778,15 +796,33 @@ TEST(Membership, MutatedPlansRejectOrReplayAcrossThreadCounts) {
         ASSERT_EQ(two.dropped, 0u);
         expect_identical(one, two);
 
-        // A clean fleet without the mass trigger couples no two nodes
-        // (breakers never trip, the drain test reads each node's own
-        // score), so no node's results may depend on the shard count:
-        // the 4-shard reshards move records between shards, the 1-shard
-        // ones never do.
-        if (spec.hostile ||
-            (spec.policy.enabled && spec.policy.scale_up_mass >= 0.0)) {
-          return;
+        // In a clean fleet no predictor breaker trips, so churn touches
+        // only the churned nodes. Survivors (initial slots that never
+        // left or restarted) must match a membership-free run of the
+        // same fleet, whatever reshards the churn forced.
+        if (spec.hostile) return;
+        auto [it, fresh] =
+            references.try_emplace({spec.epoch_ticks, spec.quiet});
+        if (fresh) {
+          RunSpec plain = spec;
+          plain.plan = {};
+          plain.policy = {};
+          ASSERT_EQ(run_outcome(plain, it->second), Outcome::kCompleted);
         }
+        const Artifacts& reference = it->second;
+        for (std::size_t i = 0; i < spec.nodes; ++i) {
+          if (one.node_departed[i] || one.node_incarnation[i] != 0) continue;
+          SCOPED_TRACE("survivor " + std::to_string(i));
+          EXPECT_EQ(one.node_evals[i], reference.node_evals[i]);
+          EXPECT_EQ(one.node_warnings[i], reference.node_warnings[i]);
+          EXPECT_EQ(one.node_quarantined[i], reference.node_quarantined[i]);
+        }
+
+        // Without the mass trigger (a sum over shards) the policy couples
+        // no two nodes either, so no node's results may depend on the
+        // shard count: the 4-shard reshards move records between shards,
+        // the 1-shard ones never do.
+        if (spec.policy.enabled && spec.policy.scale_up_mass >= 0.0) return;
         RunSpec single = spec;
         single.num_shards = 1;
         Artifacts lone;
