@@ -6,7 +6,7 @@
 //    thread counts and repeated runs, per shard count, under hostile
 //    churn + faults;
 //  - survivors of a churned run match an uninterrupted reference
-//    bit-for-bit (warm handoff across an online reshard);
+//    bit-for-bit (their records change shards in an online reshard);
 //  - lockstep and event-driven schedulers agree under churn (dense,
 //    one shard, epoch_ticks 1);
 //  - per-shard membership counters sum to the fleet totals;
@@ -463,12 +463,12 @@ TEST(Membership, LockstepAndEventDrivenAgreeUnderChurn) {
   }
 }
 
-// --- warm handoff / survivor conformance -------------------------------------
+// --- reshard / survivor conformance ------------------------------------------
 
 /// Survivors of a churned run are bit-identical to the same nodes in an
 /// uninterrupted reference run: the scale-out burst forces an online
-/// reshard that migrates survivors between shards mid-run (warm
-/// handoff), and the departures change every later batch composition —
+/// reshard that moves survivors' records between shards mid-run, and
+/// the departures change every later batch composition —
 /// none of which may perturb a surviving node's decisions.
 TEST(Membership, SurvivorsMatchUninterruptedReferenceBitForBit) {
   RunSpec reference;
@@ -501,6 +501,38 @@ TEST(Membership, SurvivorsMatchUninterruptedReferenceBitForBit) {
   // its uninterrupted twin.
   EXPECT_LT(run.node_evals[3], base.node_evals[3]);
   EXPECT_LT(run.node_evals[4], base.node_evals[4]);
+}
+
+/// A reshard rebuilds each calendar from the node records and keeps every
+/// pending visit at its due tick. A node visited early steps the same
+/// sim interval, so only a later barrier can tell: here a restart forces
+/// a reshard while quiet nodes are backed off, and the other nodes leave
+/// one barrier after another. Each must depart with the evaluations it
+/// has in the same run without the restart.
+TEST(Membership, ReshardKeepsPendingVisitsAtTheirDueTicks) {
+  RunSpec leaves;
+  leaves.nodes = 8;
+  leaves.num_shards = 4;
+  leaves.adaptive = true;
+  leaves.quiet = true;
+  leaves.hot_score_fraction = 0.9;
+  leaves.duration = 2.0 * 3600.0;
+  leaves.plan.seed = 3;
+  for (std::size_t i = 1; i < leaves.nodes; ++i) {
+    leaves.plan.node_leave(3600.0 + 60.0 * static_cast<double>(i), i);
+  }
+  RunSpec restarted = leaves;
+  restarted.plan.restart_node(3600.0, 0);
+
+  const auto base = run_fleet(leaves);
+  const auto run = run_fleet(restarted);
+  EXPECT_EQ(run.node_incarnation[0], 1u);
+  for (std::size_t i = 1; i < leaves.nodes; ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    EXPECT_TRUE(run.node_departed[i]);
+    EXPECT_EQ(base.node_evals[i], run.node_evals[i]);
+    EXPECT_EQ(base.node_warnings[i], run.node_warnings[i]);
+  }
 }
 
 // --- injected-fault accounting across restarts -------------------------------
