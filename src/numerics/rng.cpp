@@ -31,24 +31,6 @@ double log_factorial(double k) {
          r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 / 1260.0));
 }
 
-/// Poisson draw for mean < 10 by sequential inversion: walk the pmf from
-/// 0, subtracting each term from one uniform until the uniform falls
-/// inside a term. Rounding can leave a sliver of the uniform beyond the
-/// summed mass (probability ~1e-16); such a draw restarts.
-std::int64_t poisson_inversion(Rng& rng, double mean) {
-  constexpr std::int64_t kCap = 100;  // P(K >= 100 | mean 10) < 1e-60
-  const double p0 = std::exp(-mean);
-  for (;;) {
-    double u = rng.uniform();
-    double p = p0;
-    for (std::int64_t k = 0; k < kCap; ++k) {
-      if (u < p) return k;
-      u -= p;
-      p *= mean / static_cast<double>(k + 1);
-    }
-  }
-}
-
 /// Poisson draw for mean >= 10 by PTRS, the transformed rejection with
 /// squeeze of Hörmann (1993), "The transformed rejection method for
 /// generating Poisson random variables", Insurance: Math. Econ. 12.
@@ -145,13 +127,45 @@ double Rng::weibull(double shape, double scale) {
   return scale * std::pow(-std::log(1.0 - uniform()), 1.0 / shape);
 }
 
+/// Poisson draw for mean < 10 by sequential inversion: walk the pmf from
+/// 0, subtracting each term from one uniform until the uniform falls
+/// inside a term. Rounding can leave a sliver of the uniform beyond the
+/// summed mass (probability ~1e-16); such a draw restarts.
+std::int64_t Rng::poisson_inversion(double u, double mean) {
+  // exp(-mean) >= 1 - mean, and libm's exp is within an ulp, so this u
+  // also passes the first u < p0 below; means of 1 and up never take it.
+  if (u < 1.0 - mean - 0x1p-40) return 0;
+  constexpr std::int64_t kCap = 100;  // P(K >= 100 | mean 10) < 1e-60
+  const double p0 = std::exp(-mean);
+  for (;;) {
+    double p = p0;
+    for (std::int64_t k = 0; k < kCap; ++k) {
+      if (u < p) return k;
+      u -= p;
+      p *= mean / static_cast<double>(k + 1);
+    }
+    u = uniform();
+  }
+}
+
 std::int64_t Rng::poisson(double mean) {
   if (!(mean >= 0.0 && mean < 0x1p62)) {
     throw std::invalid_argument(
         "Rng::poisson: mean must be finite, >= 0 and below 2^62");
   }
-  return mean < 10.0 ? poisson_inversion(*this, mean)
-                     : poisson_ptrs(*this, mean);
+  return mean < kInversionBelow ? poisson_inversion(uniform(), mean)
+                                : poisson_ptrs(*this, mean);
+}
+
+double Rng::bounded_mean(double bound, double mean) {
+  if (!(bound >= 0.0)) {
+    throw std::invalid_argument("Rng::poisson_below: bound must be >= 0");
+  }
+  if (!(mean >= 0.0 && mean <= bound)) {
+    throw std::invalid_argument(
+        "Rng::poisson_below: mean must lie in [0, bound]");
+  }
+  return mean;
 }
 
 double Rng::gamma(double shape, double scale) {

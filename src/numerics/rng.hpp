@@ -71,6 +71,24 @@ class Rng {
   /// the mean is finite, non-negative and below 2^62.
   std::int64_t poisson(double mean);
 
+  /// poisson(mean_fn()) for a mean known not to exceed `bound`, calling
+  /// `mean_fn` only when the draw's first uniform leaves the result open.
+  /// Below a bound of 10 that uniform u decides a 0 whenever
+  /// u < 1 - bound - 2^-40: exp(-mean) >= 1 - mean, and the margin covers
+  /// rounding. Otherwise the inversion continues from the same u, so the
+  /// result and the engine outputs consumed are those of poisson(). Throws
+  /// when the bound is NaN or negative or the computed mean is not in
+  /// [0, bound]; a bound of 10 or more draws poisson(mean_fn()).
+  template <class MeanFn>
+  std::int64_t poisson_below(double bound, MeanFn&& mean_fn) {
+    if (!(bound >= 0.0 && bound < kInversionBelow)) {
+      return poisson(bounded_mean(bound, mean_fn()));
+    }
+    const double u = uniform();
+    if (u < 1.0 - bound - 0x1p-40) return 0;
+    return poisson_inversion(u, bounded_mean(bound, mean_fn()));
+  }
+
   /// Bernoulli draw: true with probability p.
   bool bernoulli(double p) noexcept { return uniform() < p; }
 
@@ -86,6 +104,17 @@ class Rng {
   std::vector<std::size_t> permutation(std::size_t n);
 
  private:
+  /// Means below this draw by inversion, from this up by PTRS.
+  static constexpr double kInversionBelow = 10.0;
+
+  /// `mean` after checking that the bound is >= 0 and the mean lies in
+  /// [0, bound]; throws std::invalid_argument otherwise.
+  static double bounded_mean(double bound, double mean);
+
+  /// Sequential inversion for a mean in [0, 10), walking from the drawn
+  /// uniform `u`.
+  std::int64_t poisson_inversion(double u, double mean);
+
   /// Next raw 64-bit engine output.
   std::uint64_t next() noexcept {
     const std::uint64_t out = std::rotl(s_[1] * 5, 7) * 9;

@@ -63,6 +63,21 @@ ScpSimulator::ScpSimulator(SimConfig config)
   }
   last_util_.assign(config_.num_nodes, 0.0);
   last_degradation_.assign(config_.num_nodes, 1.0);
+
+  // The mean response at which the limit sits z sigmas above mu (see
+  // violation_probability); a smaller mean means a larger z.
+  const double sigma = config_.response_sigma;
+  auto mean_at = [&](double z) {
+    return config_.response_limit_ms *
+           std::exp(0.5 * sigma * sigma - z * sigma);
+  };
+  const double floor_ms = mean_at(kFloorZ);
+  const double quiet_ms = mean_at(kQuietZ);
+  if (violation_probability(quiet_ms) <= 0.5 * kQuietP &&
+      violation_probability(floor_ms) > 0.0) {
+    floor_ms_ = floor_ms;
+    quiet_ms_ = quiet_ms;
+  }
 }
 
 double ScpSimulator::queue_multiplier(double utilization) const noexcept {
@@ -137,6 +152,7 @@ void ScpSimulator::tick(double t) {
   // load, degradation 1.0), so the pure violation_probability is memoized
   // on the exact mean within the tick: an identical input reuses the
   // identical result, anything else recomputes — bit-for-bit unchanged.
+  // Inside the quiet band it is computed only when the draw needs it.
   std::array<double, kNumRequestClasses> memo_mean;
   std::array<double, kNumRequestClasses> memo_p{};
   memo_mean.fill(std::numeric_limits<double>::quiet_NaN());
@@ -157,17 +173,21 @@ void ScpSimulator::tick(double t) {
       if (share <= 0.0) continue;
       const double mean_ms =
           config_.base_response_ms[c] * qmult * degradation;
-      double p;
-      if (mean_ms == memo_mean[c]) {
-        p = memo_p[c];
+      auto p_of = [&] {
+        if (mean_ms != memo_mean[c]) {
+          memo_mean[c] = mean_ms;
+          memo_p[c] = violation_probability(mean_ms);
+        }
+        return memo_p[c];
+      };
+      std::int64_t v;
+      if (mean_ms >= floor_ms_ && mean_ms <= quiet_ms_) {
+        v = rng_.poisson_below(share * kQuietP, [&] { return share * p_of(); });
       } else {
-        p = violation_probability(mean_ms);
-        memo_mean[c] = mean_ms;
-        memo_p[c] = p;
+        const double p = p_of();
+        if (p <= 0.0) continue;
+        v = rng_.poisson(share * p);
       }
-      if (p <= 0.0) continue;
-      const double expected = share * p;
-      auto v = rng_.poisson(expected);
       v = std::min<std::int64_t>(v, static_cast<std::int64_t>(share) + 1);
       window_violations_ += v;
       stats_.violations += v;
