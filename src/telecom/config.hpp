@@ -150,6 +150,13 @@ struct SimConfig {
             "SimConfig: noise_event_rate finite and positive");
     require(positive(lookalike_event_rate),
             "SimConfig: lookalike_event_rate finite and positive");
+    // The slow-call model: a lognormal response per class.
+    require(positive(response_sigma),
+            "SimConfig: response_sigma finite and positive");
+    for (const double base : base_response_ms) {
+      require(positive(base),
+              "SimConfig: base_response_ms finite and positive");
+    }
   }
 };
 
