@@ -108,9 +108,15 @@ struct PairedOverhead {
   }
 };
 
+/// Simulated days of each fleet overhead arm (obs, churn, quality), which
+/// --quick does not trim. Arms of 0.15-0.22 s spread up to +26% per pair
+/// on a 4-CPU host, and even the median of 15 pairs wandered across the
+/// 5% budgets; at this horizon each off arm runs for at least 0.5 s.
+inline constexpr double kOverheadArmDays = 5.0;
+
 /// Runs 15 off/on pairs; `off()` and `on()` each run one arm and return
-/// its wall seconds. Single pairs of the ~0.2 s fleet arms spread ±10% on
-/// a 4-CPU host, and 7 pairs still let the median cross a 5% budget.
+/// its wall seconds. Single pairs spread ±10% on a 4-CPU host, and 7
+/// pairs still let the median cross a 5% budget.
 template <class Off, class On>
 PairedOverhead paired_overhead(Off&& off, On&& on) {
   constexpr std::size_t pairs = 15;

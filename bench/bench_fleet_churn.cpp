@@ -40,10 +40,10 @@ bool g_quick = false;
 
 double fleet_days() { return g_quick ? 0.125 : 0.5; }
 
-telecom::SimConfig fleet_base_config() {
+telecom::SimConfig fleet_base_config(double days = fleet_days()) {
   telecom::SimConfig cfg;
   cfg.seed = 91;
-  cfg.duration = fleet_days() * 86400.0;
+  cfg.duration = days * 86400.0;
   cfg.leak_mtbf = 43200.0;  // leak-heavy: scores rise before failures
   return cfg;
 }
@@ -92,9 +92,9 @@ membership::MembershipPlan churn_plan(double events_per_day) {
   return plan;
 }
 
-membership::NodeFactory scp_factory() {
-  return [](const membership::JoinContext& ctx) {
-    telecom::SimConfig cfg = fleet_base_config();
+membership::NodeFactory scp_factory(double days = fleet_days()) {
+  return [days](const membership::JoinContext& ctx) {
+    telecom::SimConfig cfg = fleet_base_config(days);
     cfg.seed = ctx.seed;
     return std::make_unique<runtime::ScpManagedSystem>(cfg);
   };
@@ -106,7 +106,8 @@ struct ChurnRun {
 };
 
 ChurnRun run_churn_fleet(const TrainedBaselines& preds,
-                         const membership::MembershipConfig& membership) {
+                         const membership::MembershipConfig& membership,
+                         double days = fleet_days()) {
   runtime::FleetConfig cfg;
   cfg.mea.windows = bench::case_study_windows();
   cfg.mea.evaluation_interval = 60.0;
@@ -118,7 +119,7 @@ ChurnRun run_churn_fleet(const TrainedBaselines& preds,
   cfg.membership = membership;
 
   runtime::FleetController fleet(
-      runtime::make_scp_fleet(fleet_base_config(), kFleetNodes), cfg);
+      runtime::make_scp_fleet(fleet_base_config(days), kFleetNodes), cfg);
   fleet.add_symptom_predictor(preds.threshold);
   fleet.add_symptom_predictor(preds.trend);
   fleet.add_event_predictor(preds.dft);
@@ -199,20 +200,27 @@ void print_churn_sweep(const TrainedBaselines& preds) {
 
 /// Overhead arm: the membership barrier on every epoch, with a policy
 /// armed but never firing and zero planned churn, vs the inactive
-/// default, as the median over interleaved off/on pairs (gated < 5%).
+/// default, as the median over interleaved off/on pairs over
+/// bench::kOverheadArmDays (gated < 5%).
 void print_churn_overhead(const TrainedBaselines& preds) {
-  std::printf("== elastic overhead: armed-but-idle membership vs off ==\n");
+  constexpr double days = bench::kOverheadArmDays;
+  std::printf("== elastic overhead: armed-but-idle membership vs off, "
+              "%zu nodes x %.2f day(s) ==\n",
+              kFleetNodes, days);
   membership::MembershipConfig armed;
   armed.policy.enabled = true;
   armed.policy.scale_up_mass = 1e18;  // never crossed
   armed.policy.drain_score = 2.0;     // scores are probabilities <= 1
   armed.policy.failover_replace = false;
-  armed.factory = scp_factory();
+  armed.factory = scp_factory(days);
   std::uint64_t joined = 0;
   const auto o = bench::paired_overhead(
-      [&] { return run_churn_fleet(preds, membership::MembershipConfig{}).wall; },
       [&] {
-        const auto r = run_churn_fleet(preds, armed);
+        return run_churn_fleet(preds, membership::MembershipConfig{}, days)
+            .wall;
+      },
+      [&] {
+        const auto r = run_churn_fleet(preds, armed, days);
         joined += r.t.membership.nodes_joined;
         return r.wall;
       });

@@ -39,10 +39,10 @@ bool g_quick = false;
 
 double fleet_days() { return g_quick ? 0.125 : 0.5; }
 
-telecom::SimConfig fleet_base_config() {
+telecom::SimConfig fleet_base_config(double days = fleet_days()) {
   telecom::SimConfig cfg;
   cfg.seed = 91;
-  cfg.duration = fleet_days() * 86400.0;
+  cfg.duration = days * 86400.0;
   cfg.leak_mtbf = 43200.0;  // leak-heavy: scores rise before failures
   return cfg;
 }
@@ -84,7 +84,8 @@ struct QualityRun {
   std::uint64_t post_mortems = 0;
 };
 
-QualityRun run_quality_fleet(const TrainedBaselines& preds, bool quality_on) {
+QualityRun run_quality_fleet(const TrainedBaselines& preds, bool quality_on,
+                             double days = fleet_days()) {
   // Both arms share one external hub shape so the toggle isolates the
   // scoreboard + flight recorder, not hub-vs-private bookkeeping.
   obs::ObservabilityConfig ocfg;
@@ -104,7 +105,7 @@ QualityRun run_quality_fleet(const TrainedBaselines& preds, bool quality_on) {
   cfg.obs = &hub;
 
   runtime::FleetController fleet(
-      runtime::make_scp_fleet(fleet_base_config(), kFleetNodes), cfg);
+      runtime::make_scp_fleet(fleet_base_config(days), kFleetNodes), cfg);
   fleet.add_symptom_predictor(preds.threshold);
   fleet.add_symptom_predictor(preds.trend);
   fleet.add_event_predictor(preds.dft);
@@ -182,15 +183,18 @@ void print_quality_scoreboard(const TrainedBaselines& preds) {
 }
 
 /// Overhead arm: scoreboard + flight recorder on vs off on an otherwise
-/// identical fleet, as the median over interleaved off/on pairs (gated
-/// < 5%).
+/// identical fleet, as the median over interleaved off/on pairs over
+/// bench::kOverheadArmDays (gated < 5%).
 void print_quality_overhead(const TrainedBaselines& preds) {
-  std::printf("== quality overhead: scoreboard + flight recorder vs off ==\n");
+  constexpr double days = bench::kOverheadArmDays;
+  std::printf("== quality overhead: scoreboard + flight recorder vs off, "
+              "%zu nodes x %.2f day(s) ==\n",
+              kFleetNodes, days);
   std::uint64_t resolved = 0;
   const auto o = bench::paired_overhead(
-      [&] { return run_quality_fleet(preds, /*quality_on=*/false).wall; },
+      [&] { return run_quality_fleet(preds, /*quality_on=*/false, days).wall; },
       [&] {
-        const auto r = run_quality_fleet(preds, /*quality_on=*/true);
+        const auto r = run_quality_fleet(preds, /*quality_on=*/true, days);
         resolved = r.lifetime.total();
         return r.wall;
       });

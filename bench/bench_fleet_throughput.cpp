@@ -39,10 +39,10 @@ bool g_quick = false;
 
 double fleet_days() { return g_quick ? 0.25 : 1.0; }
 
-telecom::SimConfig fleet_base_config() {
+telecom::SimConfig fleet_base_config(double days = fleet_days()) {
   telecom::SimConfig cfg;
   cfg.seed = 91;
-  cfg.duration = fleet_days() * 86400.0;
+  cfg.duration = days * 86400.0;
   cfg.leak_mtbf = 43200.0;  // leak-heavy: plenty of warnings to act on
   return cfg;
 }
@@ -77,7 +77,8 @@ TrainedBaselines train_baselines() {
 
 runtime::FleetTelemetry run_fleet(
     const TrainedBaselines& preds, std::size_t num_threads,
-    double* wall_seconds, obs::Observability* hub = nullptr) {
+    double* wall_seconds, obs::Observability* hub = nullptr,
+    double days = fleet_days()) {
   runtime::FleetConfig cfg;
   cfg.mea.windows = bench::case_study_windows();
   cfg.mea.evaluation_interval = 60.0;
@@ -86,7 +87,7 @@ runtime::FleetTelemetry run_fleet(
   cfg.obs = hub;
 
   runtime::FleetController fleet(
-      runtime::make_scp_fleet(fleet_base_config(), kFleetNodes), cfg);
+      runtime::make_scp_fleet(fleet_base_config(days), kFleetNodes), cfg);
   fleet.add_symptom_predictor(preds.threshold);
   fleet.add_symptom_predictor(preds.trend);
   fleet.add_event_predictor(preds.dft);
@@ -314,17 +315,19 @@ void print_shard_scaling(const TrainedBaselines& preds) {
 
 /// Observability overhead arm: the same fleet run with the default
 /// private metrics-only hub (the deployed baseline) vs an external hub
-/// with tracing live, as the median over interleaved off/on pairs; the
-/// acceptance budget is < 5% overhead.
+/// with tracing live, as the median over interleaved off/on pairs over
+/// bench::kOverheadArmDays; the acceptance budget is < 5% overhead.
 void print_obs_overhead(const TrainedBaselines& preds) {
-  std::printf("== obs overhead: full hub (metrics + tracing) vs default ==\n");
+  std::printf("== obs overhead: full hub (metrics + tracing) vs default, "
+              "%zu nodes x %.2f day(s) ==\n",
+              kFleetNodes, bench::kOverheadArmDays);
   constexpr std::size_t kThreads = 4;
   std::uint64_t spans_recorded = 0;
   std::uint64_t spans_dropped = 0;
   const auto o = bench::paired_overhead(
       [&] {
         double wall = 0.0;
-        run_fleet(preds, kThreads, &wall);
+        run_fleet(preds, kThreads, &wall, nullptr, bench::kOverheadArmDays);
         return wall;
       },
       [&] {
@@ -333,7 +336,7 @@ void print_obs_overhead(const TrainedBaselines& preds) {
         ocfg.trace_capacity = 1 << 16;
         obs::Observability hub(ocfg);
         double wall = 0.0;
-        run_fleet(preds, kThreads, &wall, &hub);
+        run_fleet(preds, kThreads, &wall, &hub, bench::kOverheadArmDays);
         spans_recorded = hub.trace().recorded();
         spans_dropped = hub.trace().dropped();
         return wall;

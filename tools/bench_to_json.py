@@ -26,7 +26,10 @@ so the committed trajectory compares like with like.
 The three overhead arms (obs, churn, quality) each report the median of
 at least five interleaved off/on pairs (``pairs``, ``overhead_pct``, and
 the spread as ``overhead_min_pct``/``overhead_max_pct``); their gates
-read that median and refuse a row measured from fewer pairs.
+read that median and refuse a row measured from fewer pairs. The arms
+run a horizon of their own (``kOverheadArmDays`` in bench_common.hpp)
+that ``--quick`` does not trim, so their budgets are judged on the same
+off-arm walls in CI and in full runs.
 
 Gates (each exits non-zero on violation):
   - the observability overhead arm must stay within the 5% budget;
